@@ -579,13 +579,13 @@ mod tests {
         .schedule(7);
         assert!(fixed.windows(2).all(|w| w[1] - w[0] == 1_000));
 
-        // Burst compresses the middle third by 4×.
+        // Burst compresses the middle third ([100, 200) at n=300) by 4×.
         let burst = ServiceConfig {
             arrival: Arrival::Burst,
             ..cfg
         }
         .schedule(7);
-        assert_eq!(burst[101] - burst[100], 1_000);
+        assert_eq!(burst[51] - burst[50], 1_000);
         assert_eq!(burst[151] - burst[150], 250);
     }
 

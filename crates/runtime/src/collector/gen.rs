@@ -145,6 +145,10 @@ impl Collector for Generational {
         cfg.costs.write_barrier
     }
 
+    fn has_write_barrier(&self) -> bool {
+        true
+    }
+
     fn on_free(&mut self, addr: ObjAddr, bytes: u64) {
         if self.young.remove(&addr) {
             self.young_bytes = self.young_bytes.saturating_sub(bytes);

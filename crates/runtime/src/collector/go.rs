@@ -83,6 +83,10 @@ impl Collector for GoMarkSweep {
         0
     }
 
+    fn has_write_barrier(&self) -> bool {
+        false
+    }
+
     fn on_free(&mut self, _addr: ObjAddr, _bytes: u64) {}
 
     fn collect(

@@ -187,6 +187,12 @@ pub trait Collector: fmt::Debug {
     /// observably identical to the pre-trait runtime).
     fn record_store(&mut self, cfg: &RuntimeConfig, heap: &Heap, addr: ObjAddr) -> u64;
 
+    /// Whether [`Collector::record_store`] can ever do anything. Asked
+    /// once, when the runtime is built: a backend without a barrier
+    /// lets the VM skip the store hook (and its object-table lookup)
+    /// entirely.
+    fn has_write_barrier(&self) -> bool;
+
     /// A `tcfree` deallocated `addr` (nursery eviction). Must not touch
     /// the clock, metrics, or RNG.
     fn on_free(&mut self, addr: ObjAddr, bytes: u64);

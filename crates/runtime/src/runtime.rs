@@ -231,6 +231,9 @@ pub struct Runtime {
     /// cost model application, and the sweep policy. A separate field so
     /// the borrow checker lets it borrow `heap`/`clock`/`rng` disjointly.
     collector: Box<dyn Collector>,
+    /// The collector's [`Collector::has_write_barrier`], cached so the
+    /// VM's store sites test a flag instead of making a `dyn` call.
+    write_barrier: bool,
     live_objects: u64,
     /// The event recorder, present when [`RuntimeConfig::trace`] is on.
     /// Boxed so the untraced hot path only carries a pointer-sized
@@ -252,6 +255,7 @@ impl Runtime {
         let rng = SimRng::seed_from_u64(cfg.seed);
         let tracer = cfg.trace.then(|| Box::new(Tracer::with_cap(cfg.trace_cap)));
         let collector = cfg.collector.build(&cfg);
+        let write_barrier = collector.has_write_barrier();
         Runtime {
             cfg,
             heap,
@@ -260,6 +264,7 @@ impl Runtime {
             rng,
             current_thread: 0,
             collector,
+            write_barrier,
             live_objects: 0,
             tracer,
             cur_stack: ROOT_STACK,
@@ -422,6 +427,14 @@ impl Runtime {
         if ticks > 0 {
             self.clock.charge(ticks);
         }
+    }
+
+    /// Whether the collector has a write barrier. When it has none,
+    /// [`Runtime::record_store`] is a no-op and the VM may skip the
+    /// store hook without resolving the object's address.
+    #[inline]
+    pub fn has_write_barrier(&self) -> bool {
+        self.write_barrier
     }
 
     /// Records a stack allocation made by the VM: counted in the metrics

@@ -17,14 +17,14 @@ use std::collections::HashSet;
 use std::rc::Rc;
 
 use minigo_runtime::{Category, FreeOutcome, FreeSource, ObjAddr, Runtime, ShadowHeap};
-use minigo_syntax::Builtin;
+use minigo_syntax::{BinOp, Builtin};
 
 use super::ir::{BFunc, Const, Instr, Module};
 use crate::error::ExecError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::interp::{binop_rt, check_poison, free_op_name, mark_value, value_eq};
-use crate::interp::{Result, RunOutcome, SiteProfile, VmConfig};
-use crate::value::{Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
+use crate::interp::{barrier_store, barrier_store_map, binop_rt, check_poison, free_op_name};
+use crate::interp::{int_bin, mark_value, value_eq, Result, RunOutcome, SiteProfile, VmConfig};
+use crate::value::{filled, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
 
 /// Runs a lowered module's `main`.
 ///
@@ -235,17 +235,41 @@ fn check_index_base(v: &Value) -> Result<()> {
     }
 }
 
-/// The `Len` computation, shared with the fused length handlers.
-#[inline]
-fn len_of(v: Value) -> Result<Value> {
-    let n = match v {
+/// The `Len` computation, shared with the fused length handlers and
+/// their fast paths; `None` for a value without a length.
+#[inline(always)]
+fn len_ref(v: &Value) -> Option<i64> {
+    Some(match v {
         Value::Slice(s) => s.len as i64,
         Value::Map(map) => map.data.borrow().len() as i64,
         Value::Str(s) => s.len() as i64,
         Value::Nil => 0,
-        _ => return Err(ExecError::Internal("len of bad value".into())),
-    };
-    Ok(Value::Int(n))
+        _ => return None,
+    })
+}
+
+/// [`len_ref`] on an owned operand, raising the generic path's error.
+#[inline]
+fn len_of(v: Value) -> Result<Value> {
+    len_ref(&v)
+        .map(Value::Int)
+        .ok_or_else(|| ExecError::Internal("len of bad value".into()))
+}
+
+/// [`int_bin`] over two peeked operands: `Some` only when both are ints
+/// and the operator has a plain int result — the scalar fast path.
+#[inline(always)]
+fn int_pair(op: BinOp, l: Option<i64>, r: Option<i64>) -> Option<Value> {
+    int_bin(op, l?, r?)
+}
+
+/// The int `depth` entries below the operand stack's top (0 = top).
+#[inline(always)]
+fn stack_int(stack: &[Value], depth: usize) -> Option<i64> {
+    match stack.len().checked_sub(depth + 1).map(|i| &stack[i]) {
+        Some(Value::Int(v)) => Some(*v),
+        _ => None,
+    }
 }
 
 /// The `JumpIfFalse` test, shared with the fused branch handlers.
@@ -457,23 +481,6 @@ impl BVm {
             self.shadow_access(m.obj, op);
             self.shadow_access(buckets, op);
         }
-    }
-
-    // ---- collector write barriers (mirror the tree-walk's) ----
-
-    #[inline]
-    fn barrier_store(&mut self, obj: Option<ObjId>) {
-        if let Some(obj) = obj {
-            if let Some(&addr) = self.objects.get(&obj) {
-                self.rt.record_store(addr);
-            }
-        }
-    }
-
-    fn barrier_store_map(&mut self, m: &MapVal) {
-        let buckets = m.data.borrow().buckets_obj;
-        self.barrier_store(m.obj);
-        self.barrier_store(buckets);
     }
 
     // ---- calls ----
@@ -761,12 +768,22 @@ impl BVm {
                     other => return Err(expected_bool(&other)),
                 },
                 Instr::Bin(op) => {
+                    self.rt.tick(1);
+                    if let Some(v) = int_pair(*op, stack_int(stack, 1), stack_int(stack, 0)) {
+                        stack.pop();
+                        set_top(stack, v);
+                        continue;
+                    }
                     let r = pop(stack);
                     let l = pop(stack);
-                    self.rt.tick(1);
                     stack.push(binop_rt(&mut self.rt, *op, l, r)?);
                 }
                 Instr::BinRaw(op) => {
+                    if let Some(v) = int_pair(*op, stack_int(stack, 1), stack_int(stack, 0)) {
+                        stack.pop();
+                        set_top(stack, v);
+                        continue;
+                    }
                     let r = pop(stack);
                     let l = pop(stack);
                     stack.push(binop_rt(&mut self.rt, *op, l, r)?);
@@ -819,7 +836,7 @@ impl BVm {
                 Instr::DerefSet => match pop(stack) {
                     Value::Ptr(p) => {
                         self.shadow_access(p.obj, "pointer deref write");
-                        self.barrier_store(p.obj);
+                        barrier_store(&mut self.rt, &self.objects, p.obj);
                         let v = pop(stack);
                         *p.cell.borrow_mut() = v;
                     }
@@ -858,7 +875,7 @@ impl BVm {
                 Instr::FieldSetPtr { idx } => match pop(stack) {
                     Value::Ptr(p) => {
                         self.shadow_access(p.obj, "field write");
-                        self.barrier_store(p.obj);
+                        barrier_store(&mut self.rt, &self.objects, p.obj);
                         let v = pop(stack);
                         let mut target = p.cell.borrow_mut();
                         match &mut *target {
@@ -975,7 +992,7 @@ impl BVm {
                     };
                     let zero = self.consts[*zero as usize].clone();
                     stack.push(Value::slice(SliceVal {
-                        cells: Rc::new(RefCell::new(vec![zero; cap])),
+                        cells: Rc::new(RefCell::new(filled(zero, cap))),
                         obj,
                         offset: 0,
                         len,
@@ -1108,18 +1125,34 @@ impl BVm {
                 // original order. Coalescing is invisible: the clock
                 // charge is an exact add and no observable event can
                 // occur between the constituents' charges.
+                //
+                // Handlers that compute on ints, take a length or index
+                // a slice first try a scalar fast path over operands
+                // peeked by reference (see `peek`). It takes only
+                // operands on which the generic path could neither fail
+                // nor emit an event; anything else falls through to the
+                // generic code below it, the only place that raises
+                // errors.
                 Instr::ConstTicked { c, ticks } => {
                     self.rt.tick(u64::from(*ticks));
                     stack.push(self.consts[*c as usize].clone());
                 }
                 Instr::LoadLoadBin { a, b, op, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = int_pair(*op, self.peek_int(*a), self.peek_int(*b)) {
+                        stack.push(v);
+                        continue;
+                    }
                     let l = self.slot_value(f, *a)?;
                     let r = self.slot_value(f, *b)?;
                     stack.push(binop_rt(&mut self.rt, *op, l, r)?);
                 }
                 Instr::LoadConstBin { a, c, op, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = int_pair(*op, self.peek_int(*a), self.const_int(*c)) {
+                        stack.push(v);
+                        continue;
+                    }
                     let l = self.slot_value(f, *a)?;
                     let r = self.consts[*c as usize].clone();
                     stack.push(binop_rt(&mut self.rt, *op, l, r)?);
@@ -1132,6 +1165,10 @@ impl BVm {
                     ticks,
                 } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = int_pair(*op, self.peek_int(*a), self.peek_int(*b)) {
+                        self.store_slot(*dst, v)?;
+                        continue;
+                    }
                     let l = self.slot_value(f, *a)?;
                     let r = self.slot_value(f, *b)?;
                     let v = binop_rt(&mut self.rt, *op, l, r)?;
@@ -1145,6 +1182,10 @@ impl BVm {
                     ticks,
                 } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = int_pair(*op, self.peek_int(*a), self.const_int(*c)) {
+                        self.store_slot(*dst, v)?;
+                        continue;
+                    }
                     let l = self.slot_value(f, *a)?;
                     let r = self.consts[*c as usize].clone();
                     let v = binop_rt(&mut self.rt, *op, l, r)?;
@@ -1152,6 +1193,14 @@ impl BVm {
                 }
                 Instr::LoadLoadBinJump { a, b, op, t, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(Value::Bool(c)) =
+                        int_pair(*op, self.peek_int(*a), self.peek_int(*b))
+                    {
+                        if !c {
+                            pc = *t;
+                        }
+                        continue;
+                    }
                     let l = self.slot_value(f, *a)?;
                     let r = self.slot_value(f, *b)?;
                     let v = binop_rt(&mut self.rt, *op, l, r)?;
@@ -1159,6 +1208,14 @@ impl BVm {
                 }
                 Instr::LoadConstBinJump { a, c, op, t, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(Value::Bool(b)) =
+                        int_pair(*op, self.peek_int(*a), self.const_int(*c))
+                    {
+                        if !b {
+                            pc = *t;
+                        }
+                        continue;
+                    }
                     let l = self.slot_value(f, *a)?;
                     let r = self.consts[*c as usize].clone();
                     let v = binop_rt(&mut self.rt, *op, l, r)?;
@@ -1171,6 +1228,15 @@ impl BVm {
                 }
                 Instr::BinJumpIfFalse { op, t, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(Value::Bool(b)) =
+                        int_pair(*op, stack_int(stack, 1), stack_int(stack, 0))
+                    {
+                        stack.truncate(stack.len() - 2);
+                        if !b {
+                            pc = *t;
+                        }
+                        continue;
+                    }
                     let r = pop(stack);
                     let l = pop(stack);
                     let v = binop_rt(&mut self.rt, *op, l, r)?;
@@ -1183,6 +1249,10 @@ impl BVm {
                     ticks,
                 } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = self.fast_index_get(*base, self.peek_int(*idx)) {
+                        stack.push(v);
+                        continue;
+                    }
                     let b = self.slot_value(f, *base)?;
                     check_index_base(&b)?;
                     let i = self.slot_value(f, *idx)?;
@@ -1191,6 +1261,10 @@ impl BVm {
                 }
                 Instr::LoadConstIndexGet { base, c, ic, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = self.fast_index_get(*base, self.const_int(*c)) {
+                        stack.push(v);
+                        continue;
+                    }
                     let b = self.slot_value(f, *base)?;
                     check_index_base(&b)?;
                     let i = self.consts[*c as usize].clone();
@@ -1204,6 +1278,10 @@ impl BVm {
                     ticks,
                 } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some((s, at)) = self.fast_index_set(*base, self.peek_int(*idx)) {
+                        s.cells.borrow_mut()[at] = pop(stack);
+                        continue;
+                    }
                     let b = self.slot_value(f, *base)?;
                     check_index_base(&b)?;
                     let i = self.slot_value(f, *idx)?;
@@ -1212,6 +1290,10 @@ impl BVm {
                 }
                 Instr::LoadConstIndexSet { base, c, ic, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some((s, at)) = self.fast_index_set(*base, self.const_int(*c)) {
+                        s.cells.borrow_mut()[at] = pop(stack);
+                        continue;
+                    }
                     let b = self.slot_value(f, *base)?;
                     check_index_base(&b)?;
                     let i = self.consts[*c as usize].clone();
@@ -1220,16 +1302,32 @@ impl BVm {
                 }
                 Instr::LoadLen { s, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(n) = self.peek_len(*s) {
+                        stack.push(Value::Int(n));
+                        continue;
+                    }
                     let v = len_of(self.slot_value(f, *s)?)?;
                     stack.push(v);
                 }
                 Instr::LoadLenStore { s, dst, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(n) = self.peek_len(*s) {
+                        self.store_slot(*dst, Value::Int(n))?;
+                        continue;
+                    }
                     let v = len_of(self.slot_value(f, *s)?)?;
                     self.store_slot(*dst, v)?;
                 }
                 Instr::LoadLoadLenBinJump { a, s, op, t, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(Value::Bool(b)) =
+                        int_pair(*op, self.peek_int(*a), self.peek_len(*s))
+                    {
+                        if !b {
+                            pc = *t;
+                        }
+                        continue;
+                    }
                     let l = self.slot_value(f, *a)?;
                     let r = len_of(self.slot_value(f, *s)?)?;
                     let v = binop_rt(&mut self.rt, *op, l, r)?;
@@ -1237,18 +1335,31 @@ impl BVm {
                 }
                 Instr::BinSlot { s, op, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = int_pair(*op, stack_int(stack, 0), self.peek_int(*s)) {
+                        set_top(stack, v);
+                        continue;
+                    }
                     let r = self.slot_value(f, *s)?;
                     let l = pop(stack);
                     stack.push(binop_rt(&mut self.rt, *op, l, r)?);
                 }
                 Instr::BinConst { c, op, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = int_pair(*op, stack_int(stack, 0), self.const_int(*c)) {
+                        set_top(stack, v);
+                        continue;
+                    }
                     let r = self.consts[*c as usize].clone();
                     let l = pop(stack);
                     stack.push(binop_rt(&mut self.rt, *op, l, r)?);
                 }
                 Instr::BinConstStore { c, op, dst, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(v) = int_pair(*op, stack_int(stack, 0), self.const_int(*c)) {
+                        stack.pop();
+                        self.store_slot(*dst, v)?;
+                        continue;
+                    }
                     let r = self.consts[*c as usize].clone();
                     let l = pop(stack);
                     let v = binop_rt(&mut self.rt, *op, l, r)?;
@@ -1256,6 +1367,15 @@ impl BVm {
                 }
                 Instr::BinConstJump { c, op, t, ticks } => {
                     self.rt.tick(u64::from(*ticks));
+                    if let Some(Value::Bool(b)) =
+                        int_pair(*op, stack_int(stack, 0), self.const_int(*c))
+                    {
+                        stack.pop();
+                        if !b {
+                            pc = *t;
+                        }
+                        continue;
+                    }
                     let r = self.consts[*c as usize].clone();
                     let l = pop(stack);
                     let v = binop_rt(&mut self.rt, *op, l, r)?;
@@ -1335,7 +1455,7 @@ impl BVm {
                 let cap = 8;
                 let obj = self.new_obj_at(cap as u64 * elem_size, Category::Slice, Some(site));
                 let mut cells = vec![item];
-                cells.resize(cap, Value::Int(0));
+                cells.resize_with(cap, || Value::Int(0));
                 Ok(Value::slice(SliceVal {
                     cells: Rc::new(RefCell::new(cells)),
                     obj: Some(obj),
@@ -1358,7 +1478,7 @@ impl BVm {
                     let mut cells: Vec<Value> =
                         s.cells.borrow()[s.offset..s.offset + s.len].to_vec();
                     cells.push(item);
-                    cells.resize(new_cap, Value::Int(0));
+                    cells.resize_with(new_cap, || Value::Int(0));
                     Ok(Value::slice(SliceVal {
                         cells: Rc::new(RefCell::new(cells)),
                         obj: Some(obj),
@@ -1395,6 +1515,74 @@ impl BVm {
             BSlot::Empty => return Err(undeclared(f, s)),
         };
         check_poison(v)
+    }
+
+    // ---- scalar fast-path peeks ----
+    //
+    // Each reads a `BSlot::Plain` slot or a pool constant by reference
+    // and answers `None` for everything the generic path must see:
+    // `Boxed` and `Empty` slots, poison, and values of another kind.
+
+    #[inline(always)]
+    fn peek(&self, s: u32) -> Option<&Value> {
+        match &self.frames.last().expect("in a frame").slots[s as usize] {
+            BSlot::Plain(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn peek_int(&self, s: u32) -> Option<i64> {
+        match self.peek(s) {
+            Some(Value::Int(v)) => Some(*v),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn peek_len(&self, s: u32) -> Option<i64> {
+        self.peek(s).and_then(len_ref)
+    }
+
+    #[inline(always)]
+    fn const_int(&self, c: u32) -> Option<i64> {
+        match self.consts[c as usize] {
+            Value::Int(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The slice in plain slot `base` and the backing-array position of
+    /// its element `i`, when indexing it can skip the generic path: `i`
+    /// is an in-range int and no shadow heap must see the access.
+    #[inline(always)]
+    fn peek_elem(&self, base: u32, i: Option<i64>) -> Option<(&SliceVal, usize)> {
+        if self.shadow.is_some() {
+            return None;
+        }
+        let Some(Value::Slice(s)) = self.peek(base) else {
+            return None;
+        };
+        let i = usize::try_from(i?).ok().filter(|&i| i < s.len)?;
+        Some((s, s.offset + i))
+    }
+
+    /// The fused index-get fast path: the element, unless it is poison.
+    #[inline(always)]
+    fn fast_index_get(&self, base: u32, i: Option<i64>) -> Option<Value> {
+        let (s, at) = self.peek_elem(base, i)?;
+        let v = s.cells.borrow()[at].clone();
+        (!matches!(v, Value::Poison)).then_some(v)
+    }
+
+    /// The fused index-set fast path: where to store, when the
+    /// collector has no write barrier to run.
+    #[inline(always)]
+    fn fast_index_set(&self, base: u32, i: Option<i64>) -> Option<(&SliceVal, usize)> {
+        if self.rt.has_write_barrier() {
+            return None;
+        }
+        self.peek_elem(base, i)
     }
 
     /// The `StoreSlot` body, shared with the fused handlers.
@@ -1487,7 +1675,7 @@ impl BVm {
                     });
                 }
                 self.shadow_access(s.obj, "slice index write");
-                self.barrier_store(s.obj);
+                barrier_store(&mut self.rt, &self.objects, s.obj);
                 s.cells.borrow_mut()[s.offset + i as usize] = v;
                 Ok(())
             }
@@ -1506,7 +1694,7 @@ impl BVm {
     fn map_insert(&mut self, m: &MapVal, key: Key, value: Value, ic: Option<u32>) -> Result<()> {
         self.rt.tick(3);
         self.shadow_access_map(m, "map insert");
-        self.barrier_store_map(m);
+        barrier_store_map(&mut self.rt, &self.objects, m);
         if let Some(slot) = ic {
             let tag = Rc::as_ptr(&m.data) as usize;
             let e = self.ics[slot as usize];
@@ -1586,4 +1774,9 @@ impl BVm {
 #[inline]
 fn pop(stack: &mut Vec<Value>) -> Value {
     stack.pop().expect("operand stack underflow")
+}
+
+#[inline(always)]
+fn set_top(stack: &mut [Value], v: Value) {
+    *stack.last_mut().expect("operand stack underflow") = v;
 }

@@ -44,6 +44,8 @@ use std::collections::HashMap;
 use minigo_syntax::BinOp;
 
 use super::ir::{BFunc, Const, Instr, Module};
+use crate::interp::int_bin;
+use crate::value::Value;
 
 /// Per-pass rewrite counters for one [`optimize`] run, surfaced through
 /// the compile pipeline next to its phase timings and exported in the
@@ -392,21 +394,19 @@ fn fold_pass(f: &mut BFunc, pool: &mut PoolInterner, stats: &mut OptStats) -> u6
 /// (string concatenation's length-scaled charge).
 fn fold_binop(a: &Const, b: &Const, op: BinOp) -> Option<(Const, u64)> {
     use BinOp::*;
+    if let (Const::Int(x), Const::Int(y)) = (a, b) {
+        return match int_bin(op, *x, *y)? {
+            Value::Int(v) => Some((Const::Int(v), 0)),
+            Value::Bool(v) => Some((Const::Bool(v), 0)),
+            _ => None,
+        };
+    }
     let out = match (op, a, b) {
-        (Add, Const::Int(x), Const::Int(y)) => (Const::Int(x.wrapping_add(*y)), 0),
-        (Sub, Const::Int(x), Const::Int(y)) => (Const::Int(x.wrapping_sub(*y)), 0),
-        (Mul, Const::Int(x), Const::Int(y)) => (Const::Int(x.wrapping_mul(*y)), 0),
-        (Div, Const::Int(x), Const::Int(y)) if *y != 0 => (Const::Int(x.wrapping_div(*y)), 0),
-        (Rem, Const::Int(x), Const::Int(y)) if *y != 0 => (Const::Int(x.wrapping_rem(*y)), 0),
         (Add, Const::Str(x), Const::Str(y)) => {
             let s = format!("{x}{y}");
             let extra = 1 + (s.len() as u64) / 16;
             (Const::Str(s.into()), extra)
         }
-        (Lt, Const::Int(x), Const::Int(y)) => (Const::Bool(x < y), 0),
-        (Le, Const::Int(x), Const::Int(y)) => (Const::Bool(x <= y), 0),
-        (Gt, Const::Int(x), Const::Int(y)) => (Const::Bool(x > y), 0),
-        (Ge, Const::Int(x), Const::Int(y)) => (Const::Bool(x >= y), 0),
         (Lt, Const::Str(x), Const::Str(y)) => (Const::Bool(x < y), 0),
         (Le, Const::Str(x), Const::Str(y)) => (Const::Bool(x <= y), 0),
         (Gt, Const::Str(x), Const::Str(y)) => (Const::Bool(x > y), 0),

@@ -20,7 +20,7 @@ use minigo_syntax::{
 };
 
 use crate::error::ExecError;
-use crate::value::{Cell, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
+use crate::value::{filled, Cell, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
 
 /// Result alias for execution.
 pub type Result<T> = std::result::Result<T, ExecError>;
@@ -490,30 +490,6 @@ impl<'p> Vm<'p> {
             self.shadow_access(m.obj, op);
             self.shadow_access(buckets, op);
         }
-    }
-
-    // ---- write barrier ----
-
-    /// Write-barrier hook at the same heap store sites the shadow
-    /// sanitizer checks: tells the collector the object's payload was
-    /// mutated (the generational remembered set's input; a total no-op
-    /// under the default mark-sweep backend). Stack values (`obj` =
-    /// `None`) need no barrier. Unlike the shadow hooks this always
-    /// fires — barriers are part of the simulation, not an observer.
-    fn barrier_store(&mut self, obj: Option<ObjId>) {
-        if let Some(obj) = obj {
-            if let Some(&addr) = self.objects.get(&obj) {
-                self.rt.record_store(addr);
-            }
-        }
-    }
-
-    /// [`Vm::barrier_store`] for a map store: both the hmap header and
-    /// the current bucket array count as mutated.
-    fn barrier_store_map(&mut self, m: &MapVal) {
-        let buckets = m.data.borrow().buckets_obj;
-        self.barrier_store(m.obj);
-        self.barrier_store(buckets);
     }
 
     // ---- GC ----
@@ -1406,7 +1382,7 @@ impl<'p> Vm<'p> {
             None
         };
         Ok(Value::slice(SliceVal {
-            cells: Rc::new(RefCell::new(vec![zero; cap])),
+            cells: Rc::new(RefCell::new(filled(zero, cap))),
             obj,
             offset: 0,
             len,
@@ -1452,7 +1428,7 @@ impl<'p> Vm<'p> {
                 let cap = 8;
                 let obj = self.new_obj_at(cap as u64 * elem_size, Category::Slice, Some(site));
                 let mut cells = vec![item];
-                cells.resize(cap, Value::Int(0));
+                cells.resize_with(cap, || Value::Int(0));
                 Ok(Value::slice(SliceVal {
                     cells: Rc::new(RefCell::new(cells)),
                     obj: Some(obj),
@@ -1477,7 +1453,7 @@ impl<'p> Vm<'p> {
                     let mut cells: Vec<Value> =
                         s.cells.borrow()[s.offset..s.offset + s.len].to_vec();
                     cells.push(item);
-                    cells.resize(new_cap, Value::Int(0));
+                    cells.resize_with(new_cap, || Value::Int(0));
                     Ok(Value::slice(SliceVal {
                         cells: Rc::new(RefCell::new(cells)),
                         obj: Some(obj),
@@ -1494,7 +1470,7 @@ impl<'p> Vm<'p> {
     fn map_insert(&mut self, m: &MapVal, key: Key, value: Value) -> Result<()> {
         self.rt.tick(3);
         self.shadow_access_map(m, "map insert");
-        self.barrier_store_map(m);
+        barrier_store_map(&mut self.rt, &self.objects, m);
         let (is_new, needs_growth) = {
             let data = m.data.borrow();
             if data.poisoned {
@@ -1560,7 +1536,7 @@ impl<'p> Vm<'p> {
             } => match self.eval(operand)? {
                 Value::Ptr(p) => {
                     self.shadow_access(p.obj, "pointer deref write");
-                    self.barrier_store(p.obj);
+                    barrier_store(&mut self.rt, &self.objects, p.obj);
                     *p.cell.borrow_mut() = value;
                     Ok(())
                 }
@@ -1573,7 +1549,7 @@ impl<'p> Vm<'p> {
                     Value::Ptr(p) => {
                         // Through-pointer store: mutate in place.
                         self.shadow_access(p.obj, "field write");
-                        self.barrier_store(p.obj);
+                        barrier_store(&mut self.rt, &self.objects, p.obj);
                         let sname = self.struct_name_of(base, true)?;
                         let idx = self.field_index(&sname, name)?;
                         let mut target = p.cell.borrow_mut();
@@ -1610,7 +1586,7 @@ impl<'p> Vm<'p> {
                             });
                         }
                         self.shadow_access(s.obj, "slice index write");
-                        self.barrier_store(s.obj);
+                        barrier_store(&mut self.rt, &self.objects, s.obj);
                         s.cells.borrow_mut()[s.offset + i as usize] = value;
                         Ok(())
                     }
@@ -1698,42 +1674,51 @@ fn make_slot(value: Value, boxed: bool) -> Slot {
     }
 }
 
+/// The integer semantics of a binary operator: the one definition both
+/// engines (and the bytecode engine's scalar fast paths) use. `None`
+/// where an int pair has no plain result — `Div`/`Rem` by zero and the
+/// short-circuit `And`/`Or` — so the caller's generic path raises the
+/// error.
+#[inline(always)]
+pub(crate) fn int_bin(op: BinOp, a: i64, b: i64) -> Option<Value> {
+    use BinOp::*;
+    Some(match op {
+        Add => Value::Int(a.wrapping_add(b)),
+        Sub => Value::Int(a.wrapping_sub(b)),
+        Mul => Value::Int(a.wrapping_mul(b)),
+        Div if b != 0 => Value::Int(a.wrapping_div(b)),
+        Rem if b != 0 => Value::Int(a.wrapping_rem(b)),
+        Eq => Value::Bool(a == b),
+        Ne => Value::Bool(a != b),
+        Lt => Value::Bool(a < b),
+        Le => Value::Bool(a <= b),
+        Gt => Value::Bool(a > b),
+        Ge => Value::Bool(a >= b),
+        Div | Rem | And | Or => return None,
+    })
+}
+
 /// Applies a binary operator, charging string-concatenation ticks on the
 /// given runtime. Shared by both execution engines.
 #[inline]
 pub(crate) fn binop_rt(rt: &mut Runtime, op: BinOp, l: Value, r: Value) -> Result<Value> {
     use BinOp::*;
+    if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+        if let Some(v) = int_bin(op, *a, *b) {
+            return Ok(v);
+        }
+    }
     if matches!(l, Value::Poison) || matches!(r, Value::Poison) {
         return Err(ExecError::PoisonedRead);
     }
     match (op, &l, &r) {
-        (Add, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
         (Add, Value::Str(a), Value::Str(b)) => {
             let mut s = a.to_string();
             s.push_str(b);
             rt.tick(1 + (s.len() as u64) / 16);
             Ok(Value::Str(Rc::from(s.as_str())))
         }
-        (Sub, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
-        (Mul, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
-        (Div, Value::Int(a), Value::Int(b)) => {
-            if *b == 0 {
-                Err(ExecError::DivByZero)
-            } else {
-                Ok(Value::Int(a.wrapping_div(*b)))
-            }
-        }
-        (Rem, Value::Int(a), Value::Int(b)) => {
-            if *b == 0 {
-                Err(ExecError::DivByZero)
-            } else {
-                Ok(Value::Int(a.wrapping_rem(*b)))
-            }
-        }
-        (Lt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a < b)),
-        (Le, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a <= b)),
-        (Gt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a > b)),
-        (Ge, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a >= b)),
+        (Div | Rem, Value::Int(_), Value::Int(_)) => Err(ExecError::DivByZero),
         (Lt, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a < b)),
         (Le, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a <= b)),
         (Gt, Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a > b)),
@@ -1746,6 +1731,43 @@ pub(crate) fn binop_rt(rt: &mut Runtime, op: BinOp, l: Value, r: Value) -> Resul
             r.display()
         ))),
     }
+}
+
+/// Write-barrier hook at the same heap store sites the shadow sanitizer
+/// checks, shared by both engines: tells the collector the object's
+/// payload was mutated (the generational remembered set's input). Stack
+/// values (`obj` = `None`) need no barrier. Unlike the shadow hooks this
+/// always fires when the collector has a barrier — barriers are part of
+/// the simulation, not an observer — and costs one flag test when it
+/// has none (the default mark-sweep backend), skipping the
+/// object-table lookup.
+#[inline]
+pub(crate) fn barrier_store<S: std::hash::BuildHasher>(
+    rt: &mut Runtime,
+    objects: &HashMap<ObjId, ObjAddr, S>,
+    obj: Option<ObjId>,
+) {
+    if !rt.has_write_barrier() {
+        return;
+    }
+    if let Some(&addr) = obj.and_then(|o| objects.get(&o)) {
+        rt.record_store(addr);
+    }
+}
+
+/// [`barrier_store`] for a map store: both the hmap header and the
+/// current bucket array count as mutated.
+pub(crate) fn barrier_store_map<S: std::hash::BuildHasher>(
+    rt: &mut Runtime,
+    objects: &HashMap<ObjId, ObjAddr, S>,
+    m: &MapVal,
+) {
+    if !rt.has_write_barrier() {
+        return;
+    }
+    let buckets = m.data.borrow().buckets_obj;
+    barrier_store(rt, objects, m.obj);
+    barrier_store(rt, objects, buckets);
 }
 
 #[inline]

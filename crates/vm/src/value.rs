@@ -195,6 +195,19 @@ impl MapData {
     }
 }
 
+/// A `make` backing array: `n` copies of `zero`. Scalar zeros are
+/// written directly instead of cloned one element at a time.
+pub(crate) fn filled(zero: Value, n: usize) -> Vec<Value> {
+    let mut cells = Vec::with_capacity(n);
+    match zero {
+        Value::Int(z) => cells.resize_with(n, || Value::Int(z)),
+        Value::Bool(b) => cells.resize_with(n, || Value::Bool(b)),
+        Value::Nil => cells.resize_with(n, || Value::Nil),
+        other => cells.resize(n, other),
+    }
+    cells
+}
+
 impl Value {
     /// Renders the value for `print`.
     pub fn display(&self) -> String {

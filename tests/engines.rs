@@ -9,6 +9,7 @@ use gofree::{
     compile, execute, CompileOptions, Compiled, OptLevel, Report, RunConfig, Setting, VmEngine,
 };
 use gofree_workloads::{corpus, fuzzgen, micro, Scale};
+use minigo_vm::{BSession, Session, VmConfig};
 
 /// Runs one compiled program on the tree-walk and on the bytecode
 /// engine at both opt levels, asserting every observable field of the
@@ -277,4 +278,127 @@ fn engines_agree_on_sample_programs() {
         checked += 1;
     }
     assert!(checked > 0, "no sample programs found");
+}
+
+/// Runs `main` of `src` (GoFree compile) to its error on the tree-walk
+/// and on the bytecode engine at `--opt off` and `--opt full`. Returns,
+/// per engine, the error and the output printed before it, plus the
+/// optimized stream's `main`.
+fn run_to_error(label: &str, src: &str) -> (Vec<(String, String)>, String) {
+    let c = compile(src, &CompileOptions::default())
+        .unwrap_or_else(|e| panic!("{label}: {}", e.render(src)));
+    let err = |r: Result<Vec<minigo_vm::Value>, minigo_vm::ExecError>| match r {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("{label}: main returned without the expected error"),
+    };
+    let mut tree = Session::new(
+        &c.program,
+        &c.resolution,
+        &c.types,
+        &c.analysis,
+        VmConfig::default(),
+    )
+    .expect("valid config");
+    let e = err(tree.call("main", Vec::new()));
+    let mut runs = vec![(e, tree.finish().output)];
+    for module in [&c.lowered, &c.optimized] {
+        let mut byte = BSession::new(module, VmConfig::default()).expect("valid config");
+        let e = err(byte.call("main", Vec::new()));
+        runs.push((e, byte.finish().output));
+    }
+    let main = c
+        .optimized
+        .funcs
+        .iter()
+        .find(|f| f.name == "main")
+        .expect("main");
+    (runs, format!("{:?}", main.code))
+}
+
+#[test]
+fn engines_agree_on_errors_in_fused_forms() {
+    // Errors are observables too: every fused form must raise the same
+    // `ExecError` as the tree-walk and the unfused stream, after the
+    // same output. (Not at the same virtual time: a fused instruction
+    // charges its constituents' ticks up front, so its clock can run
+    // ahead of the tree-walk's when it fails midway. A failed run
+    // yields no report, so that clock is never observed.) Each
+    // statement below fails inside one fused instruction (named beside
+    // it, and checked to be in the optimized stream); the bytecode
+    // engine's scalar fast paths must decline these operands and leave
+    // the error to the generic handler.
+    let cases = [
+        ("print(a / z)", "LoadLoadBin {", "integer divide by zero"),
+        ("b = a % z", "LoadLoadBinStore", "integer divide by zero"),
+        ("print(a / 0)", "LoadConstBin {", "integer divide by zero"),
+        ("b = a % 0", "LoadConstBinStore", "integer divide by zero"),
+        ("print((a + 1) / z)", "BinSlot", "integer divide by zero"),
+        ("print((a + 1) % 0)", "BinConst {", "integer divide by zero"),
+        ("b = (a + 1) / 0", "BinConstStore", "integer divide by zero"),
+        (
+            "print(s[i])",
+            "LoadLoadIndexGet",
+            "index out of range [3] with length 3",
+        ),
+        (
+            "print(s[n])",
+            "LoadLoadIndexGet",
+            "index out of range [-1] with length 3",
+        ),
+        (
+            "print(s[3])",
+            "LoadConstIndexGet",
+            "index out of range [3] with length 3",
+        ),
+        (
+            "s[i] = 1",
+            "LoadLoadIndexSet",
+            "index out of range [3] with length 3",
+        ),
+        (
+            "s[5] = 1",
+            "LoadConstIndexSet",
+            "index out of range [5] with length 3",
+        ),
+        (
+            "print(ns[z])",
+            "LoadLoadIndexGet",
+            "nil pointer dereference",
+        ),
+        (
+            "print(ns[0])",
+            "LoadConstIndexGet",
+            "nil pointer dereference",
+        ),
+        ("ns[z] = 1", "LoadLoadIndexSet", "nil pointer dereference"),
+        ("ns[0] = 1", "LoadConstIndexSet", "nil pointer dereference"),
+    ];
+    for (stmt, form, want) in cases {
+        let src = format!(
+            "func main() {{\n    a := 7\n    z := 0\n    b := 1\n    i := 3\n    n := -1\n    \
+             s := make([]int, 3)\n    var ns []int\n    print(\"before\", a, b, i, n, len(s), len(ns))\n    \
+             {stmt}\n    print(\"after\", b)\n}}\n"
+        );
+        let (runs, code) = run_to_error(stmt, &src);
+        assert!(
+            code.contains(form),
+            "`{stmt}`: expected a {form} in the optimized stream: {code}"
+        );
+        let (tree_err, tree_out) = &runs[0];
+        assert!(
+            tree_err.contains(want),
+            "`{stmt}`: tree-walk raised {tree_err:?}, expected {want:?}"
+        );
+        assert_eq!(
+            tree_out, "before 7 1 3 -1 3 0\n",
+            "`{stmt}`: output before the error"
+        );
+        for ((err, out), stream) in runs[1..].iter().zip(["opt off", "opt full"]) {
+            assert_eq!(err, tree_err, "`{stmt}` ({stream}): error");
+            assert_eq!(
+                out, tree_out,
+                "`{stmt}` ({stream}): output before the error"
+            );
+        }
+    }
 }
