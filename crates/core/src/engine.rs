@@ -3,7 +3,7 @@
 
 use minigo_escape::Mode;
 use minigo_runtime::{PoisonMode, RuntimeConfig};
-use minigo_vm::{run, ExecError, RunOutcome, VmConfig};
+use minigo_vm::{ExecError, RunOutcome, Session, VmConfig};
 
 use crate::pipeline::{compile, CompileOptions, Compiled};
 
@@ -253,6 +253,12 @@ pub fn execute(
     setting: Setting,
     cfg: &RunConfig,
 ) -> Result<Report, ExecError> {
+    let ((), report) = with_session(compiled, setting, cfg, Session::run_main)?;
+    Ok(report)
+}
+
+/// The VM configuration a run of `compiled` under `setting` uses.
+fn vm_config(compiled: &Compiled, setting: Setting, cfg: &RunConfig) -> VmConfig {
     let runtime = RuntimeConfig {
         gc_enabled: setting.gc_enabled(),
         gogc: cfg.gogc,
@@ -267,34 +273,53 @@ pub fn execute(
         nursery_size: cfg.nursery_size,
         ..RuntimeConfig::default()
     };
-    let vm_cfg = VmConfig {
+    VmConfig {
         runtime,
         step_limit: cfg.step_limit,
         grow_map_free_old: compiled.analysis.options.mode == Mode::GoFree,
         sanitize: cfg.sanitize,
         ..VmConfig::default()
-    };
-    let mut report = match (cfg.engine, cfg.opt) {
-        (VmEngine::TreeWalk, _) => run(
+    }
+}
+
+/// Opens a session on the engine and stream `cfg` selects, drives it
+/// with `body`, and finishes it. Batch runs and service runs both come
+/// through here, so they see exactly the same configuration.
+///
+/// Returns `body`'s result and the report, which carries the
+/// compile-time facts of `compiled`: optimizer statistics when the
+/// optimized stream ran, how much reclamation `--audit deny` gave up,
+/// and the liveness placement counters.
+///
+/// # Errors
+///
+/// An invalid runtime configuration, or whatever `body` raises.
+pub(crate) fn with_session<'c, T>(
+    compiled: &'c Compiled,
+    setting: Setting,
+    cfg: &RunConfig,
+    body: impl FnOnce(&mut Session<'c>) -> Result<T, ExecError>,
+) -> Result<(T, Report), ExecError> {
+    let vm_cfg = vm_config(compiled, setting, cfg);
+    let mut session = match (cfg.engine, cfg.opt) {
+        (VmEngine::TreeWalk, _) => Session::tree_walk(
             &compiled.program,
             &compiled.resolution,
             &compiled.types,
             &compiled.analysis,
             vm_cfg,
         )?,
-        (VmEngine::Bytecode, OptLevel::Off) => minigo_vm::run_module(&compiled.lowered, vm_cfg)?,
-        (VmEngine::Bytecode, OptLevel::Full) => {
-            let mut r = minigo_vm::run_module(&compiled.optimized, vm_cfg)?;
-            r.opt = Some(compiled.opt_stats.clone());
-            r
-        }
+        (VmEngine::Bytecode, OptLevel::Off) => Session::new(&compiled.lowered, vm_cfg)?,
+        (VmEngine::Bytecode, OptLevel::Full) => Session::new(&compiled.optimized, vm_cfg)?,
     };
-    // Compile-time facts, copied into every run's report so audited
-    // builds report how much reclamation `--audit deny` gave up and
-    // liveness builds report their placement counters.
+    let out = body(&mut session)?;
+    let mut report = session.finish();
+    if (cfg.engine, cfg.opt) == (VmEngine::Bytecode, OptLevel::Full) {
+        report.opt = Some(compiled.opt_stats.clone());
+    }
     report.metrics.frees_suppressed = compiled.frees_suppressed;
     report.placement = compiled.placement;
-    Ok(report)
+    Ok((out, report))
 }
 
 /// Compiles and runs `src` under `setting` in one step.

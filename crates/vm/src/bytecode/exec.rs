@@ -1,7 +1,7 @@
 //! The bytecode engine: a loop-dispatch VM over the slot-indexed IR.
 //!
 //! Executes one instruction stream per function against the same
-//! simulated runtime as the tree-walking interpreter, with identical
+//! [`Mutator`] as the tree-walking interpreter, with identical
 //! observable behaviour: the sequence of allocations, frees, safepoints,
 //! and GC cycles — and the total clock charge per statement — match the
 //! tree-walk exactly, so outputs, free counts, and heap/GC metrics are
@@ -9,22 +9,19 @@
 //!
 //! Frames hold a dense `Vec` of slots instead of a `HashMap<VarId, _>`;
 //! each call's operand stack is a plain local `Vec`. Operand-stack
-//! temporaries are deliberately *not* GC roots, mirroring the tree-walk,
-//! which marks only frame slots and deferred-call arguments.
+//! temporaries are deliberately *not* GC roots: the collector marks
+//! only frame slots and deferred-call arguments (see [`Roots`]).
 
-use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
-use minigo_runtime::{Category, FreeOutcome, FreeSource, ObjAddr, Runtime, ShadowHeap};
 use minigo_syntax::{BinOp, Builtin};
 
 use super::ir::{BFunc, Const, Instr, Module};
 use crate::error::ExecError;
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::interp::{barrier_store, barrier_store_map, binop_rt, check_poison, free_op_name};
-use crate::interp::{int_bin, mark_value, value_eq, Result, RunOutcome, SiteProfile, VmConfig};
-use crate::value::{filled, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
+use crate::interp::{binop_rt, check_poison, int_bin, len_of, len_ref, reslice, value_eq};
+use crate::mutator::{DeferKind, Deferred, Mutator, Result, Roots, RunOutcome, Slot, VmConfig};
+use crate::session::{Engine, Session};
+use crate::value::{Key, MapVal, PtrVal, SliceVal, Value};
 
 /// Runs a lowered module's `main`.
 ///
@@ -34,152 +31,39 @@ use crate::value::{filled, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value}
 /// panics, nil dereferences, bounds errors, poisoned reads, and
 /// resource-limit violations.
 pub fn run_module(module: &Module, cfg: VmConfig) -> Result<RunOutcome> {
-    cfg.runtime.validate().map_err(ExecError::InvalidConfig)?;
-    if module.main == usize::MAX {
-        return Err(ExecError::NoMain);
-    }
-    let mut vm = BVm::new(cfg, module);
-    vm.run_function(module, module.main, Vec::new())?;
-    Ok(vm.finish())
-}
-
-/// A persistent bytecode execution session — the bytecode twin of
-/// [`crate::interp::Session`], driving the same call protocol the
-/// engine's internal calls use so session runs stay bit-identical
-/// across engines. See the tree-walk session for the contract.
-pub struct BSession<'m> {
-    module: &'m Module,
-    vm: BVm,
-}
-
-impl<'m> BSession<'m> {
-    /// Creates a session over a lowered (optionally optimized) module.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::InvalidConfig`] when the runtime
-    /// configuration fails validation.
-    pub fn new(module: &'m Module, cfg: VmConfig) -> Result<Self> {
-        cfg.runtime.validate().map_err(ExecError::InvalidConfig)?;
-        Ok(BSession {
-            module,
-            vm: BVm::new(cfg, module),
-        })
-    }
-
-    /// Calls a top-level function by name and returns its results.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::NoFunc`] for an unknown name; otherwise whatever the
-    /// call itself raises.
-    pub fn call(&mut self, name: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        let fid = self
-            .module
-            .funcs
-            .iter()
-            .position(|f| f.name == name)
-            .ok_or_else(|| ExecError::NoFunc(name.to_string()))?;
-        let want = self.module.funcs[fid].results.len() as u32;
-        let mut stack = args;
-        let nargs = stack.len();
-        self.vm
-            .call_on_stack(self.module, fid, &mut stack, nargs, want)?;
-        Ok(stack)
-    }
-
-    /// Roots `values` for the rest of the session (marked at every GC).
-    pub fn hold(&mut self, values: Vec<Value>) {
-        self.vm.held.extend(values);
-    }
-
-    /// Elapsed virtual time.
-    pub fn now(&self) -> u64 {
-        self.vm.rt.now()
-    }
-
-    /// Advances the virtual clock to absolute time `t` (idle waiting).
-    pub fn idle_until(&mut self, t: u64) {
-        self.vm.rt.idle_until(t);
-    }
-
-    /// Current live heap bytes.
-    pub fn heap_live(&self) -> u64 {
-        self.vm.rt.heap_live()
-    }
-
-    /// Current page-level heap footprint in bytes.
-    pub fn footprint(&self) -> u64 {
-        self.vm.rt.footprint()
-    }
-
-    /// Every completed GC cycle's stop record so far.
-    pub fn pauses(&self) -> &[minigo_runtime::Pause] {
-        self.vm.rt.pauses()
-    }
-
-    /// Records a completed-request trace span (no-op without tracing).
-    pub fn note_request(&mut self, id: u64, arrival: u64, start: u64) {
-        self.vm.rt.trace_request(id, arrival, start);
-    }
-
-    /// Ends the session and assembles the same [`RunOutcome`] a one-shot
-    /// [`run_module`] would produce.
-    pub fn finish(self) -> RunOutcome {
-        self.vm.finish()
-    }
-}
-
-/// A frame slot. `Empty` marks a not-yet-declared local; reading one is
-/// the engine's analogue of the tree-walk's "variable not found".
-#[derive(Clone)]
-enum BSlot {
-    Empty,
-    Plain(Value),
-    Boxed(Rc<RefCell<Value>>, Option<ObjId>),
-}
-
-enum BDeferKind {
-    Func(usize),
-    Builtin(Builtin),
-}
-
-struct BDeferred {
-    kind: BDeferKind,
-    args: Vec<Value>,
+    let mut session = Session::new(module, cfg)?;
+    session.run_main()?;
+    Ok(session.finish())
 }
 
 struct BFrame {
-    slots: Vec<BSlot>,
-    defers: Vec<BDeferred>,
+    slots: Vec<Slot>,
+    defers: Vec<Deferred>,
 }
 
-struct BVm {
-    cfg: VmConfig,
+impl Roots for BFrame {
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter()
+    }
+
+    fn defers(&self) -> &[Deferred] {
+        &self.defers
+    }
+}
+
+pub(crate) struct BVm<'m> {
+    module: &'m Module,
+    mu: Mutator,
     /// Per-run materialization of the module's (thread-shared) constant
     /// pool; entries are cloned onto the operand stack so string payloads
     /// are `Rc`-shared within the run, as with the old `Value` pool.
     consts: Vec<Value>,
-    rt: Runtime,
-    objects: FxHashMap<ObjId, ObjAddr>,
-    addr_map: FxHashMap<ObjAddr, ObjId>,
-    next_obj: u64,
     frames: Vec<BFrame>,
     /// Retired frame-slot vectors, reused across calls so a call does
     /// not malloc (values were dropped when the owning frame popped).
-    slot_pool: Vec<Vec<BSlot>>,
+    slot_pool: Vec<Vec<Slot>>,
     /// Retired operand stacks, reused across calls for the same reason.
     stack_pool: Vec<Vec<Value>>,
-    site_profile: FxHashMap<minigo_syntax::ExprId, (u64, u64)>,
-    /// Interned call stacks when tracing (hooked at the same function
-    /// entry/exit points as the tree-walk's, so ids are bit-identical
-    /// across engines).
-    stacks: Option<minigo_runtime::StackTable>,
-    /// The interned id of the current call stack (root when not tracing).
-    cur_stack: u32,
-    /// The shadow-heap sanitizer, present when `cfg.sanitize` is on
-    /// (hooked at the same points as the tree-walk's).
-    shadow: Option<ShadowHeap>,
     /// Monomorphic inline caches, one per `ic_slots` entry in the
     /// module. A cache can only *miss* when stale (the tag is the map
     /// storage's address and the cached entry's key is re-checked on
@@ -188,11 +72,43 @@ struct BVm {
     ics: Vec<IcEntry>,
     ic_hits: u64,
     ic_misses: u64,
-    /// Session-held GC roots (see the tree-walk's `held`); always empty
-    /// in one-shot [`run_module`] executions.
-    held: Vec<Value>,
-    output: String,
-    steps: u64,
+}
+
+impl Engine for BVm<'_> {
+    fn lookup(&self, name: &str) -> Option<(usize, usize)> {
+        let fid = self.module.funcs.iter().position(|f| f.name == name)?;
+        Some((fid, self.module.funcs[fid].params.len()))
+    }
+
+    /// `main`'s index was found when the module was lowered; a search
+    /// by name would walk every function of a large program.
+    fn main(&self) -> Option<usize> {
+        Some(self.module.main).filter(|&m| m != usize::MAX)
+    }
+
+    fn invoke(&mut self, func: usize, args: Vec<Value>) -> Result<Vec<Value>> {
+        let want = self.module.funcs[func].results.len() as u32;
+        let mut stack = args;
+        let nargs = stack.len();
+        self.call_on_stack(self.module, func, &mut stack, nargs, want)?;
+        Ok(stack)
+    }
+
+    fn mu(&self) -> &Mutator {
+        &self.mu
+    }
+
+    fn mu_mut(&mut self) -> &mut Mutator {
+        &mut self.mu
+    }
+
+    fn finish(self: Box<Self>) -> RunOutcome {
+        RunOutcome {
+            ic_hits: self.ic_hits,
+            ic_misses: self.ic_misses,
+            ..self.mu.finish()
+        }
+    }
 }
 
 /// One inline-cache entry: the identity of the last map storage seen at
@@ -207,15 +123,6 @@ const IC_EMPTY: IcEntry = IcEntry {
     tag: 0,
     idx: usize::MAX,
 };
-
-#[inline]
-fn bslot(value: Value, boxed: bool) -> BSlot {
-    if boxed {
-        BSlot::Boxed(Rc::new(RefCell::new(value)), None)
-    } else {
-        BSlot::Plain(value)
-    }
-}
 
 fn expected_bool(v: &Value) -> ExecError {
     ExecError::Internal(format!("expected bool, got {}", v.display()))
@@ -233,27 +140,6 @@ fn check_index_base(v: &Value) -> Result<()> {
         Value::Nil => Err(ExecError::NilDeref),
         _ => Err(ExecError::Internal("index of non-indexable".into())),
     }
-}
-
-/// The `Len` computation, shared with the fused length handlers and
-/// their fast paths; `None` for a value without a length.
-#[inline(always)]
-fn len_ref(v: &Value) -> Option<i64> {
-    Some(match v {
-        Value::Slice(s) => s.len as i64,
-        Value::Map(map) => map.data.borrow().len() as i64,
-        Value::Str(s) => s.len() as i64,
-        Value::Nil => 0,
-        _ => return None,
-    })
-}
-
-/// [`len_ref`] on an owned operand, raising the generic path's error.
-#[inline]
-fn len_of(v: Value) -> Result<Value> {
-    len_ref(&v)
-        .map(Value::Int)
-        .ok_or_else(|| ExecError::Internal("len of bad value".into()))
 }
 
 /// [`int_bin`] over two peeked operands: `Some` only when both are ints
@@ -286,200 +172,18 @@ fn branch_if_false(v: Value, pc: &mut usize, t: usize) -> Result<()> {
     }
 }
 
-impl BVm {
-    fn new(cfg: VmConfig, module: &Module) -> Self {
-        let rt = Runtime::new(cfg.runtime.clone());
-        let shadow = cfg.sanitize.then(ShadowHeap::new);
-        let stacks = cfg.runtime.trace.then(minigo_runtime::StackTable::new);
+impl<'m> BVm<'m> {
+    pub(crate) fn new(module: &'m Module, mu: Mutator) -> Self {
         BVm {
-            cfg,
+            module,
+            mu,
             consts: module.consts.iter().map(Const::to_value).collect(),
-            rt,
-            objects: FxHashMap::default(),
-            addr_map: FxHashMap::default(),
-            next_obj: 0,
             frames: Vec::new(),
             slot_pool: Vec::new(),
             stack_pool: Vec::new(),
-            site_profile: FxHashMap::default(),
-            stacks,
-            cur_stack: minigo_runtime::ROOT_STACK,
-            shadow,
             ics: vec![IC_EMPTY; module.ic_slots as usize],
             ic_hits: 0,
             ic_misses: 0,
-            held: Vec::new(),
-            output: String::new(),
-            steps: 0,
-        }
-    }
-
-    // ---- object accounting (mirrors the tree-walk's) ----
-
-    /// End-of-run accounting shared by [`run_module`] and
-    /// [`BSession::finish`]: finalizes the runtime and assembles the
-    /// report (mirrors the tree-walk's `finish`).
-    fn finish(mut self) -> RunOutcome {
-        self.rt.finalize();
-        let mut site_profile: Vec<SiteProfile> = self
-            .site_profile
-            .iter()
-            .map(|(&site, &(count, bytes))| SiteProfile { site, count, bytes })
-            .collect();
-        site_profile.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.site.cmp(&b.site)));
-        let violations = match self.shadow.as_mut() {
-            Some(sh) => sh.take_violations(),
-            None => Vec::new(),
-        };
-        let mut trace = self.rt.take_trace();
-        if let (Some(tr), Some(st)) = (trace.as_mut(), self.stacks.take()) {
-            // The runtime only sees interned ids; the table that resolves
-            // them lives in the VM and rides along in the trace.
-            tr.stacks = st;
-        }
-        RunOutcome {
-            output: std::mem::take(&mut self.output),
-            time: self.rt.now(),
-            metrics: self.rt.metrics().clone(),
-            steps: self.steps,
-            site_profile,
-            violations,
-            trace,
-            collector: self.rt.collector_kind(),
-            ic_hits: self.ic_hits,
-            ic_misses: self.ic_misses,
-            opt: None,
-            placement: None,
-        }
-    }
-
-    fn new_obj(&mut self, size: u64, cat: Category) -> ObjId {
-        self.new_obj_at(size, cat, None)
-    }
-
-    fn new_obj_at(
-        &mut self,
-        size: u64,
-        cat: Category,
-        site: Option<minigo_syntax::ExprId>,
-    ) -> ObjId {
-        if let Some(site) = site {
-            let entry = self.site_profile.entry(site).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += size;
-        }
-        let addr = self.rt.alloc_at(size, cat, site.map(|s| s.0));
-        if let Some(old) = self.addr_map.insert(addr, ObjId(self.next_obj)) {
-            self.objects.remove(&old);
-        }
-        let id = ObjId(self.next_obj);
-        self.next_obj += 1;
-        self.objects.insert(id, addr);
-        if let Some(sh) = &mut self.shadow {
-            sh.on_alloc(id.0, addr);
-        }
-        id
-    }
-
-    fn free_obj(&mut self, obj: ObjId, source: FreeSource, batched: bool) -> (FreeOutcome, bool) {
-        if let Some(sh) = &mut self.shadow {
-            sh.check_free(obj.0, free_op_name(source), self.steps);
-        }
-        let Some(&addr) = self.objects.get(&obj) else {
-            return (
-                FreeOutcome::Bailed(minigo_runtime::BailReason::AlreadyFree),
-                false,
-            );
-        };
-        let out = if batched {
-            self.rt.tcfree_continue(addr, source)
-        } else {
-            self.rt.tcfree(addr, source)
-        };
-        match out {
-            FreeOutcome::Freed { .. } => {
-                self.objects.remove(&obj);
-                self.addr_map.remove(&addr);
-                if let Some(sh) = &mut self.shadow {
-                    sh.on_free(obj.0, addr);
-                }
-                (out, false)
-            }
-            FreeOutcome::Poisoned => (out, true),
-            FreeOutcome::Bailed(_) => (out, false),
-        }
-    }
-
-    // ---- GC ----
-
-    #[inline]
-    fn safepoint(&mut self) -> Result<()> {
-        self.steps += 1;
-        if self.steps > self.cfg.step_limit {
-            return Err(ExecError::StepLimit);
-        }
-        self.rt.tick(1);
-        if self.rt.gc_pending() {
-            self.collect_garbage();
-        }
-        Ok(())
-    }
-
-    fn collect_garbage(&mut self) {
-        let mut marked: HashSet<ObjAddr> = HashSet::new();
-        let mut seen: FxHashSet<usize> = FxHashSet::default();
-        for frame in &self.frames {
-            for slot in &frame.slots {
-                match slot {
-                    BSlot::Empty => {}
-                    BSlot::Plain(v) => {
-                        mark_value(v, &self.objects, &mut marked, &mut seen);
-                    }
-                    BSlot::Boxed(cell, obj) => {
-                        if let Some(obj) = obj {
-                            if let Some(&addr) = self.objects.get(obj) {
-                                marked.insert(addr);
-                            }
-                        }
-                        if seen.insert(Rc::as_ptr(cell) as usize) {
-                            mark_value(&cell.borrow(), &self.objects, &mut marked, &mut seen);
-                        }
-                    }
-                }
-            }
-            for d in &frame.defers {
-                for v in &d.args {
-                    mark_value(v, &self.objects, &mut marked, &mut seen);
-                }
-            }
-        }
-        for v in &self.held {
-            mark_value(v, &self.objects, &mut marked, &mut seen);
-        }
-        let swept = self.rt.collect(&marked);
-        for (addr, _, _) in &swept.freed {
-            if let Some(obj) = self.addr_map.remove(addr) {
-                self.objects.remove(&obj);
-                if let Some(sh) = &mut self.shadow {
-                    sh.on_sweep(obj.0);
-                }
-            }
-        }
-    }
-
-    // ---- shadow-heap sanitizer hooks (mirror the tree-walk's) ----
-
-    fn shadow_access(&mut self, obj: Option<ObjId>, op: &'static str) {
-        if let (Some(sh), Some(obj)) = (self.shadow.as_mut(), obj) {
-            sh.check_access(obj.0, op, self.steps);
-        }
-    }
-
-    fn shadow_access_map(&mut self, m: &MapVal, op: &'static str) {
-        if self.shadow.is_some() {
-            let buckets = m.data.borrow().buckets_obj;
-            self.shadow_access(m.obj, op);
-            self.shadow_access(buckets, op);
         }
     }
 
@@ -507,15 +211,15 @@ impl BVm {
         nargs: usize,
         want: u32,
     ) -> Result<()> {
-        if self.frames.len() >= self.cfg.max_frames {
+        if self.frames.len() >= self.mu.cfg.max_frames {
             return Err(ExecError::StackOverflow);
         }
         let f = &m.funcs[fid];
         let mut slots = self.slot_pool.pop().unwrap_or_default();
-        slots.resize(f.nslots as usize, BSlot::Empty);
+        slots.resize(f.nslots as usize, Slot::Empty);
         let base = stack.len() - nargs;
         for (&(slot, boxed), arg) in f.params.iter().zip(stack.drain(base..)) {
-            slots[slot as usize] = bslot(arg, boxed);
+            slots[slot as usize] = Slot::new(arg, boxed);
         }
         for &(slot, boxed, zero) in &f.results {
             let Some(zero) = zero else {
@@ -523,39 +227,31 @@ impl BVm {
                 self.slot_pool.push(slots);
                 return Err(ExecError::Internal("untyped result".into()));
             };
-            slots[slot as usize] = bslot(self.consts[zero as usize].clone(), boxed);
+            slots[slot as usize] = Slot::new(self.consts[zero as usize].clone(), boxed);
         }
         self.frames.push(BFrame {
             slots,
             defers: Vec::new(),
         });
-        let parent_stack = self.enter_stack(&f.name);
+        let parent_stack = self.mu.enter_stack(&f.name);
 
         let body = self.exec(m, f);
         let defer_result = self.run_defers(m);
         match body.and(defer_result) {
             Err(e) => {
-                self.leave_stack(parent_stack);
+                self.mu.leave_stack(parent_stack);
                 self.pop_frame();
                 Err(e)
             }
             Ok(()) => {
                 let rbase = stack.len();
                 for &(slot, _, _) in &f.results {
-                    let frame = self.frames.last().expect("in a frame");
-                    let v = match &frame.slots[slot as usize] {
-                        BSlot::Plain(v) => v.clone(),
-                        BSlot::Boxed(cell, _) => cell.borrow().clone(),
-                        BSlot::Empty => {
-                            return Err(ExecError::Internal(format!(
-                                "variable {} not found in any frame",
-                                f.slot_names[slot as usize]
-                            )))
-                        }
-                    };
-                    stack.push(check_poison(v)?);
+                    // A result that fails to read leaves the frame in
+                    // place, as the tree-walk's call protocol does.
+                    let v = self.slot_value(f, slot)?;
+                    stack.push(v);
                 }
-                self.leave_stack(parent_stack);
+                self.mu.leave_stack(parent_stack);
                 self.pop_frame();
                 if want == u32::MAX {
                     stack.truncate(rbase);
@@ -577,39 +273,17 @@ impl BVm {
         }
     }
 
-    /// Tracing only: interns the stack extended with `name`, stamps it
-    /// into the runtime, and returns the previous stack id (mirrors the
-    /// tree-walk's hook exactly — same call points, same interning order).
-    fn enter_stack(&mut self, name: &str) -> u32 {
-        let parent = self.cur_stack;
-        if let Some(st) = &mut self.stacks {
-            self.cur_stack = st.push(parent, name);
-            self.rt.set_stack(self.cur_stack);
-        }
-        parent
-    }
-
-    /// Tracing only: restores the caller's stack id on function exit.
-    fn leave_stack(&mut self, parent: u32) {
-        if self.stacks.is_some() {
-            self.cur_stack = parent;
-            self.rt.set_stack(parent);
-        }
-    }
-
     fn run_defers(&mut self, m: &Module) -> Result<()> {
         loop {
             let Some(d) = self.frames.last_mut().and_then(|f| f.defers.pop()) else {
                 return Ok(());
             };
             match d.kind {
-                BDeferKind::Func(fid) => {
+                DeferKind::Func(fid) => {
                     self.run_function(m, fid, d.args)?;
                 }
-                BDeferKind::Builtin(Builtin::Print) => {
-                    self.do_print(&d.args);
-                }
-                BDeferKind::Builtin(_) => {}
+                DeferKind::Builtin(Builtin::Print) => self.mu.print(&d.args),
+                DeferKind::Builtin(_) => {}
             }
         }
     }
@@ -633,8 +307,8 @@ impl BVm {
             let instr = &code[pc];
             pc += 1;
             match instr {
-                Instr::Safepoint => self.safepoint()?,
-                Instr::Tick(n) => self.rt.tick(u64::from(*n)),
+                Instr::Safepoint => self.mu.safepoint(&self.frames)?,
+                Instr::Tick(n) => self.mu.rt.tick(u64::from(*n)),
                 Instr::Jump(t) => pc = *t,
                 Instr::JumpIfFalse(t) => match pop(stack) {
                     Value::Bool(b) => {
@@ -684,9 +358,9 @@ impl BVm {
                     value_pos,
                 } => {
                     if *value_pos {
-                        self.rt.tick(1);
+                        self.mu.rt.tick(1);
                     }
-                    self.rt.tick(2);
+                    self.mu.rt.tick(2);
                     self.call_on_stack(m, *fid, stack, *nargs as usize, *want)?;
                 }
                 Instr::DeferFunc { fid, nargs } => {
@@ -695,8 +369,8 @@ impl BVm {
                         .last_mut()
                         .expect("in a frame")
                         .defers
-                        .push(BDeferred {
-                            kind: BDeferKind::Func(*fid),
+                        .push(Deferred {
+                            kind: DeferKind::Func(*fid),
                             args,
                         });
                 }
@@ -706,18 +380,18 @@ impl BVm {
                         .last_mut()
                         .expect("in a frame")
                         .defers
-                        .push(BDeferred {
-                            kind: BDeferKind::Builtin(*builtin),
+                        .push(Deferred {
+                            kind: DeferKind::Builtin(*builtin),
                             args,
                         });
                 }
                 Instr::Const(c) => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     stack.push(self.consts[*c as usize].clone());
                 }
                 Instr::ConstRaw(c) => stack.push(self.consts[*c as usize].clone()),
                 Instr::LoadSlot(s) => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let v = self.slot_value(f, *s)?;
                     stack.push(v);
                 }
@@ -733,15 +407,9 @@ impl BVm {
                 } => {
                     let v = pop(stack);
                     let new_slot = if *boxed {
-                        let obj = if *heap {
-                            Some(self.new_obj(*size, Category::Other))
-                        } else {
-                            self.rt.stack_alloc(Category::Other);
-                            None
-                        };
-                        BSlot::Boxed(Rc::new(RefCell::new(v)), obj)
+                        self.mu.boxed_slot(*heap, *size, v)
                     } else {
-                        BSlot::Plain(v)
+                        Slot::Plain(v)
                     };
                     let frame = self.frames.last_mut().expect("in a frame");
                     frame.slots[*slot as usize] = new_slot;
@@ -755,20 +423,20 @@ impl BVm {
                 }
                 Instr::Neg => match pop(stack) {
                     Value::Int(v) => {
-                        self.rt.tick(1);
+                        self.mu.rt.tick(1);
                         stack.push(Value::Int(v.wrapping_neg()));
                     }
                     other => return Err(expected_int(&other)),
                 },
                 Instr::Not => match pop(stack) {
                     Value::Bool(b) => {
-                        self.rt.tick(1);
+                        self.mu.rt.tick(1);
                         stack.push(Value::Bool(!b));
                     }
                     other => return Err(expected_bool(&other)),
                 },
                 Instr::Bin(op) => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     if let Some(v) = int_pair(*op, stack_int(stack, 1), stack_int(stack, 0)) {
                         stack.pop();
                         set_top(stack, v);
@@ -776,7 +444,7 @@ impl BVm {
                     }
                     let r = pop(stack);
                     let l = pop(stack);
-                    stack.push(binop_rt(&mut self.rt, *op, l, r)?);
+                    stack.push(binop_rt(&mut self.mu.rt, *op, l, r)?);
                 }
                 Instr::BinRaw(op) => {
                     if let Some(v) = int_pair(*op, stack_int(stack, 1), stack_int(stack, 0)) {
@@ -786,47 +454,38 @@ impl BVm {
                     }
                     let r = pop(stack);
                     let l = pop(stack);
-                    stack.push(binop_rt(&mut self.rt, *op, l, r)?);
+                    stack.push(binop_rt(&mut self.mu.rt, *op, l, r)?);
                 }
                 Instr::AddrOfSlot(s) => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let frame = self.frames.last().expect("in a frame");
                     match &frame.slots[*s as usize] {
-                        BSlot::Boxed(cell, obj) => stack.push(Value::ptr(PtrVal {
+                        Slot::Boxed(cell, obj) => stack.push(Value::ptr(PtrVal {
                             cell: cell.clone(),
                             obj: *obj,
                         })),
-                        BSlot::Plain(_) => {
+                        Slot::Plain(_) => {
                             return Err(ExecError::Internal(format!(
                                 "address taken of unboxed variable {}",
                                 f.slot_names[*s as usize]
                             )))
                         }
-                        BSlot::Empty => {
+                        Slot::Empty => {
                             return Err(ExecError::Internal("variable not found".into()))
                         }
                     }
                 }
                 Instr::AllocBox { heap, size, site } => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let v = pop(stack);
-                    let obj = if *heap {
-                        Some(self.new_obj_at(*size, Category::Other, Some(*site)))
-                    } else {
-                        self.rt.stack_alloc(Category::Other);
-                        None
-                    };
-                    stack.push(Value::ptr(PtrVal {
-                        cell: Rc::new(RefCell::new(v)),
-                        obj,
-                    }));
+                    let p = self.mu.new_ptr(*heap, *size, *site, v);
+                    stack.push(p);
                 }
                 Instr::Deref => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     match pop(stack) {
                         Value::Ptr(p) => {
-                            self.shadow_access(p.obj, "pointer deref read");
-                            let v = check_poison(p.cell.borrow().clone())?;
+                            let v = self.mu.ptr_get(&p)?;
                             stack.push(v);
                         }
                         Value::Nil => return Err(ExecError::NilDeref),
@@ -834,21 +493,16 @@ impl BVm {
                     }
                 }
                 Instr::DerefSet => match pop(stack) {
-                    Value::Ptr(p) => {
-                        self.shadow_access(p.obj, "pointer deref write");
-                        barrier_store(&mut self.rt, &self.objects, p.obj);
-                        let v = pop(stack);
-                        *p.cell.borrow_mut() = v;
-                    }
+                    Value::Ptr(p) => self.mu.ptr_set(&p, pop(stack)),
                     Value::Nil => return Err(ExecError::NilDeref),
                     _ => return Err(ExecError::Internal("store through non-pointer".into())),
                 },
                 Instr::GetField { idx, through_ptr } => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let fields = match (pop(stack), through_ptr) {
                         (Value::Struct(fields), false) => fields,
                         (Value::Ptr(p), true) => {
-                            self.shadow_access(p.obj, "field read");
+                            self.mu.shadow_access(p.obj, "field read");
                             let inner = p.cell.borrow().clone();
                             match inner {
                                 Value::Struct(fields) => fields,
@@ -874,8 +528,7 @@ impl BVm {
                 },
                 Instr::FieldSetPtr { idx } => match pop(stack) {
                     Value::Ptr(p) => {
-                        self.shadow_access(p.obj, "field write");
-                        barrier_store(&mut self.rt, &self.objects, p.obj);
+                        self.mu.before_store(p.obj, "field write");
                         let v = pop(stack);
                         let mut target = p.cell.borrow_mut();
                         match &mut *target {
@@ -894,14 +547,14 @@ impl BVm {
                     check_index_base(stack.last().expect("operand stack underflow"))?
                 }
                 Instr::IndexGet => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let idx = pop(stack);
                     let base = pop(stack);
                     let v = self.index_get(base, idx, None)?;
                     stack.push(v);
                 }
                 Instr::IndexGetIC(ic) => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let idx = pop(stack);
                     let base = pop(stack);
                     let v = self.index_get(base, idx, Some(*ic))?;
@@ -920,7 +573,7 @@ impl BVm {
                     self.index_set(base, idx, v, Some(*ic))?;
                 }
                 Instr::ReSlice { has_hi } => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let hi_v = if *has_hi { Some(pop(stack)) } else { None };
                     let lo_v = pop(stack);
                     let base = pop(stack);
@@ -932,33 +585,7 @@ impl BVm {
                         Some(other) => return Err(expected_int(other)),
                         None => None,
                     };
-                    match base {
-                        Value::Slice(s) => {
-                            let hi = hi.unwrap_or(s.len as i64);
-                            if lo < 0 || hi < lo || hi as usize > s.cap() {
-                                return Err(ExecError::OutOfBounds {
-                                    index: hi,
-                                    len: s.cap(),
-                                });
-                            }
-                            stack.push(Value::slice(SliceVal {
-                                cells: s.cells.clone(),
-                                obj: s.obj,
-                                offset: s.offset + lo as usize,
-                                len: (hi - lo) as usize,
-                                elem_size: s.elem_size,
-                            }));
-                        }
-                        Value::Nil => {
-                            let hi = hi.unwrap_or(0);
-                            if lo == 0 && hi == 0 {
-                                stack.push(Value::Nil);
-                            } else {
-                                return Err(ExecError::NilDeref);
-                            }
-                        }
-                        _ => return Err(ExecError::Internal("reslice of non-slice".into())),
-                    }
+                    stack.push(reslice(base, lo, hi)?);
                 }
                 Instr::MakeSlice {
                     elem_size,
@@ -967,7 +594,7 @@ impl BVm {
                     site,
                     zero,
                 } => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let cap_v = if *has_cap { Some(pop(stack)) } else { None };
                     let len_v = pop(stack);
                     let Value::Int(len_raw) = len_v else {
@@ -979,25 +606,9 @@ impl BVm {
                         Some(other) => return Err(expected_int(&other)),
                         None => len,
                     };
-                    let cap = cap.max(1);
-                    let obj = if *heap {
-                        Some(self.new_obj_at(
-                            (cap as u64 * elem_size).max(8),
-                            Category::Slice,
-                            Some(*site),
-                        ))
-                    } else {
-                        self.rt.stack_alloc(Category::Slice);
-                        None
-                    };
                     let zero = self.consts[*zero as usize].clone();
-                    stack.push(Value::slice(SliceVal {
-                        cells: Rc::new(RefCell::new(filled(zero, cap))),
-                        obj,
-                        offset: 0,
-                        len,
-                        elem_size: *elem_size,
-                    }));
+                    let s = self.mu.make_slice(*heap, *site, len, cap, *elem_size, zero);
+                    stack.push(s);
                 }
                 Instr::MakeMap {
                     entry_size,
@@ -1005,30 +616,10 @@ impl BVm {
                     site,
                     default,
                 } => {
-                    self.rt.tick(1);
-                    let obj = if *heap {
-                        Some(self.new_obj_at(
-                            minigo_escape::MAP_BASE_BYTES,
-                            Category::Map,
-                            Some(*site),
-                        ))
-                    } else {
-                        self.rt.stack_alloc(Category::Map);
-                        None
-                    };
-                    stack.push(Value::map(MapVal {
-                        data: Rc::new(RefCell::new(MapData {
-                            entries: Vec::new(),
-                            index: FxHashMap::default(),
-                            buckets_obj: None,
-                            bucket_cap: 8,
-                            default: self.consts[*default as usize].clone(),
-                            entry_size: *entry_size,
-                            origin: Some(*site),
-                            poisoned: false,
-                        })),
-                        obj,
-                    }));
+                    self.mu.rt.tick(1);
+                    let default = self.consts[*default as usize].clone();
+                    let m = self.mu.make_map(*heap, *site, default, *entry_size);
+                    stack.push(m);
                 }
                 Instr::NewPtr {
                     size,
@@ -1036,37 +627,30 @@ impl BVm {
                     site,
                     zero,
                 } => {
-                    self.rt.tick(1);
-                    let obj = if *heap {
-                        Some(self.new_obj_at(*size, Category::Other, Some(*site)))
-                    } else {
-                        self.rt.stack_alloc(Category::Other);
-                        None
-                    };
-                    stack.push(Value::ptr(PtrVal {
-                        cell: Rc::new(RefCell::new(self.consts[*zero as usize].clone())),
-                        obj,
-                    }));
+                    self.mu.rt.tick(1);
+                    let zero = self.consts[*zero as usize].clone();
+                    let p = self.mu.new_ptr(*heap, *size, *site, zero);
+                    stack.push(p);
                 }
                 Instr::Append { elem_size, site } => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let item = pop(stack);
                     let sv = pop(stack);
-                    let out = self.append(sv, item, *elem_size, *site)?;
+                    let out = self.mu.append(sv, item, *elem_size, *site)?;
                     stack.push(out);
                 }
                 Instr::MakeStruct(n) => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let fields = stack.split_off(stack.len() - *n as usize);
                     stack.push(Value::struct_of(fields));
                 }
                 Instr::Len => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let v = len_of(pop(stack))?;
                     stack.push(v);
                 }
                 Instr::Cap => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let v = match pop(stack) {
                         Value::Slice(s) => s.cap() as i64,
                         Value::Nil => 0,
@@ -1075,31 +659,29 @@ impl BVm {
                     stack.push(Value::Int(v));
                 }
                 Instr::MapDelete => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let kv = pop(stack);
                     if let Value::Map(map) = pop(stack) {
                         let key = kv
                             .as_key()
                             .ok_or_else(|| ExecError::Internal("bad map key".into()))?;
-                        self.rt.tick(2);
-                        self.shadow_access_map(&map, "map delete");
-                        map.data.borrow_mut().remove(&key);
+                        self.mu.map_delete(&map, &key);
                     }
                     stack.push(Value::Int(0));
                 }
                 Instr::Panic => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let v = pop(stack);
                     return Err(ExecError::Panic(v.display()));
                 }
                 Instr::Print(n) => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     let args = stack.split_off(stack.len() - *n as usize);
-                    self.do_print(&args);
+                    self.mu.print(&args);
                     stack.push(Value::Int(0));
                 }
                 Instr::Itoa => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     match pop(stack) {
                         Value::Int(v) => {
                             stack.push(Value::Str(Rc::from(v.to_string().as_str())));
@@ -1109,8 +691,7 @@ impl BVm {
                 }
                 Instr::Tcfree { follows_free } => {
                     let v = pop(stack);
-                    let batched = self.cfg.batch_frees && *follows_free;
-                    self.exec_tcfree(v, batched)?;
+                    self.mu.tcfree(v, self.mu.cfg.batch_frees && *follows_free);
                 }
                 Instr::TrapUnsupported(msg) => {
                     return Err(ExecError::Unsupported(msg.to_string()));
@@ -1134,28 +715,28 @@ impl BVm {
                 // generic code below it, the only place that raises
                 // errors.
                 Instr::ConstTicked { c, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     stack.push(self.consts[*c as usize].clone());
                 }
                 Instr::LoadLoadBin { a, b, op, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = int_pair(*op, self.peek_int(*a), self.peek_int(*b)) {
                         stack.push(v);
                         continue;
                     }
                     let l = self.slot_value(f, *a)?;
                     let r = self.slot_value(f, *b)?;
-                    stack.push(binop_rt(&mut self.rt, *op, l, r)?);
+                    stack.push(binop_rt(&mut self.mu.rt, *op, l, r)?);
                 }
                 Instr::LoadConstBin { a, c, op, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = int_pair(*op, self.peek_int(*a), self.const_int(*c)) {
                         stack.push(v);
                         continue;
                     }
                     let l = self.slot_value(f, *a)?;
                     let r = self.consts[*c as usize].clone();
-                    stack.push(binop_rt(&mut self.rt, *op, l, r)?);
+                    stack.push(binop_rt(&mut self.mu.rt, *op, l, r)?);
                 }
                 Instr::LoadLoadBinStore {
                     a,
@@ -1164,14 +745,14 @@ impl BVm {
                     dst,
                     ticks,
                 } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = int_pair(*op, self.peek_int(*a), self.peek_int(*b)) {
                         self.store_slot(*dst, v)?;
                         continue;
                     }
                     let l = self.slot_value(f, *a)?;
                     let r = self.slot_value(f, *b)?;
-                    let v = binop_rt(&mut self.rt, *op, l, r)?;
+                    let v = binop_rt(&mut self.mu.rt, *op, l, r)?;
                     self.store_slot(*dst, v)?;
                 }
                 Instr::LoadConstBinStore {
@@ -1181,18 +762,18 @@ impl BVm {
                     dst,
                     ticks,
                 } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = int_pair(*op, self.peek_int(*a), self.const_int(*c)) {
                         self.store_slot(*dst, v)?;
                         continue;
                     }
                     let l = self.slot_value(f, *a)?;
                     let r = self.consts[*c as usize].clone();
-                    let v = binop_rt(&mut self.rt, *op, l, r)?;
+                    let v = binop_rt(&mut self.mu.rt, *op, l, r)?;
                     self.store_slot(*dst, v)?;
                 }
                 Instr::LoadLoadBinJump { a, b, op, t, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(Value::Bool(c)) =
                         int_pair(*op, self.peek_int(*a), self.peek_int(*b))
                     {
@@ -1203,11 +784,11 @@ impl BVm {
                     }
                     let l = self.slot_value(f, *a)?;
                     let r = self.slot_value(f, *b)?;
-                    let v = binop_rt(&mut self.rt, *op, l, r)?;
+                    let v = binop_rt(&mut self.mu.rt, *op, l, r)?;
                     branch_if_false(v, &mut pc, *t)?;
                 }
                 Instr::LoadConstBinJump { a, c, op, t, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(Value::Bool(b)) =
                         int_pair(*op, self.peek_int(*a), self.const_int(*c))
                     {
@@ -1218,16 +799,16 @@ impl BVm {
                     }
                     let l = self.slot_value(f, *a)?;
                     let r = self.consts[*c as usize].clone();
-                    let v = binop_rt(&mut self.rt, *op, l, r)?;
+                    let v = binop_rt(&mut self.mu.rt, *op, l, r)?;
                     branch_if_false(v, &mut pc, *t)?;
                 }
                 Instr::LoadJumpIfFalse { s, t, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     let v = self.slot_value(f, *s)?;
                     branch_if_false(v, &mut pc, *t)?;
                 }
                 Instr::BinJumpIfFalse { op, t, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(Value::Bool(b)) =
                         int_pair(*op, stack_int(stack, 1), stack_int(stack, 0))
                     {
@@ -1239,7 +820,7 @@ impl BVm {
                     }
                     let r = pop(stack);
                     let l = pop(stack);
-                    let v = binop_rt(&mut self.rt, *op, l, r)?;
+                    let v = binop_rt(&mut self.mu.rt, *op, l, r)?;
                     branch_if_false(v, &mut pc, *t)?;
                 }
                 Instr::LoadLoadIndexGet {
@@ -1248,7 +829,7 @@ impl BVm {
                     ic,
                     ticks,
                 } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = self.fast_index_get(*base, self.peek_int(*idx)) {
                         stack.push(v);
                         continue;
@@ -1260,7 +841,7 @@ impl BVm {
                     stack.push(v);
                 }
                 Instr::LoadConstIndexGet { base, c, ic, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = self.fast_index_get(*base, self.const_int(*c)) {
                         stack.push(v);
                         continue;
@@ -1277,7 +858,7 @@ impl BVm {
                     ic,
                     ticks,
                 } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some((s, at)) = self.fast_index_set(*base, self.peek_int(*idx)) {
                         s.cells.borrow_mut()[at] = pop(stack);
                         continue;
@@ -1289,7 +870,7 @@ impl BVm {
                     self.index_set(b, i, v, Some(*ic))?;
                 }
                 Instr::LoadConstIndexSet { base, c, ic, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some((s, at)) = self.fast_index_set(*base, self.const_int(*c)) {
                         s.cells.borrow_mut()[at] = pop(stack);
                         continue;
@@ -1301,7 +882,7 @@ impl BVm {
                     self.index_set(b, i, v, Some(*ic))?;
                 }
                 Instr::LoadLen { s, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(n) = self.peek_len(*s) {
                         stack.push(Value::Int(n));
                         continue;
@@ -1310,7 +891,7 @@ impl BVm {
                     stack.push(v);
                 }
                 Instr::LoadLenStore { s, dst, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(n) = self.peek_len(*s) {
                         self.store_slot(*dst, Value::Int(n))?;
                         continue;
@@ -1319,7 +900,7 @@ impl BVm {
                     self.store_slot(*dst, v)?;
                 }
                 Instr::LoadLoadLenBinJump { a, s, op, t, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(Value::Bool(b)) =
                         int_pair(*op, self.peek_int(*a), self.peek_len(*s))
                     {
@@ -1330,31 +911,31 @@ impl BVm {
                     }
                     let l = self.slot_value(f, *a)?;
                     let r = len_of(self.slot_value(f, *s)?)?;
-                    let v = binop_rt(&mut self.rt, *op, l, r)?;
+                    let v = binop_rt(&mut self.mu.rt, *op, l, r)?;
                     branch_if_false(v, &mut pc, *t)?;
                 }
                 Instr::BinSlot { s, op, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = int_pair(*op, stack_int(stack, 0), self.peek_int(*s)) {
                         set_top(stack, v);
                         continue;
                     }
                     let r = self.slot_value(f, *s)?;
                     let l = pop(stack);
-                    stack.push(binop_rt(&mut self.rt, *op, l, r)?);
+                    stack.push(binop_rt(&mut self.mu.rt, *op, l, r)?);
                 }
                 Instr::BinConst { c, op, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = int_pair(*op, stack_int(stack, 0), self.const_int(*c)) {
                         set_top(stack, v);
                         continue;
                     }
                     let r = self.consts[*c as usize].clone();
                     let l = pop(stack);
-                    stack.push(binop_rt(&mut self.rt, *op, l, r)?);
+                    stack.push(binop_rt(&mut self.mu.rt, *op, l, r)?);
                 }
                 Instr::BinConstStore { c, op, dst, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(v) = int_pair(*op, stack_int(stack, 0), self.const_int(*c)) {
                         stack.pop();
                         self.store_slot(*dst, v)?;
@@ -1362,11 +943,11 @@ impl BVm {
                     }
                     let r = self.consts[*c as usize].clone();
                     let l = pop(stack);
-                    let v = binop_rt(&mut self.rt, *op, l, r)?;
+                    let v = binop_rt(&mut self.mu.rt, *op, l, r)?;
                     self.store_slot(*dst, v)?;
                 }
                 Instr::BinConstJump { c, op, t, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     if let Some(Value::Bool(b)) =
                         int_pair(*op, stack_int(stack, 0), self.const_int(*c))
                     {
@@ -1378,11 +959,11 @@ impl BVm {
                     }
                     let r = self.consts[*c as usize].clone();
                     let l = pop(stack);
-                    let v = binop_rt(&mut self.rt, *op, l, r)?;
+                    let v = binop_rt(&mut self.mu.rt, *op, l, r)?;
                     branch_if_false(v, &mut pc, *t)?;
                 }
                 Instr::LoadLoad { a, b, ticks } => {
-                    self.rt.tick(u64::from(*ticks));
+                    self.mu.rt.tick(u64::from(*ticks));
                     let va = self.slot_value(f, *a)?;
                     stack.push(va);
                     let vb = self.slot_value(f, *b)?;
@@ -1392,113 +973,15 @@ impl BVm {
         }
     }
 
-    // ---- runtime-value helpers (mirror the tree-walk's) ----
-
-    fn exec_tcfree(&mut self, v: Value, batched: bool) -> Result<()> {
-        match v {
-            Value::Slice(s) => {
-                if let Some(obj) = s.obj {
-                    let (_, poison) = self.free_obj(obj, FreeSource::SliceLifetime, batched);
-                    if poison {
-                        let mut cells = s.cells.borrow_mut();
-                        for c in cells.iter_mut() {
-                            *c = Value::Poison;
-                        }
-                    }
-                }
-            }
-            Value::Map(map) => {
-                let buckets = map.data.borrow().buckets_obj;
-                let mut poisoned = false;
-                if let Some(b) = buckets {
-                    let (out, poison) = self.free_obj(b, FreeSource::MapLifetime, batched);
-                    poisoned |= poison;
-                    if matches!(out, FreeOutcome::Freed { .. }) {
-                        map.data.borrow_mut().buckets_obj = None;
-                    }
-                }
-                if let Some(h) = map.obj {
-                    let (_, poison) = self.free_obj(h, FreeSource::MapLifetime, batched);
-                    poisoned |= poison;
-                }
-                if poisoned {
-                    let mut data = map.data.borrow_mut();
-                    data.poisoned = true;
-                    for (_, v) in data.entries.iter_mut() {
-                        *v = Value::Poison;
-                    }
-                }
-            }
-            Value::Ptr(p) => {
-                if let Some(obj) = p.obj {
-                    let (_, poison) = self.free_obj(obj, FreeSource::Object, batched);
-                    if poison {
-                        *p.cell.borrow_mut() = Value::Poison;
-                    }
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    fn append(
-        &mut self,
-        sv: Value,
-        item: Value,
-        elem_size: u64,
-        site: minigo_syntax::ExprId,
-    ) -> Result<Value> {
-        self.rt.tick(2);
-        match sv {
-            Value::Nil => {
-                let cap = 8;
-                let obj = self.new_obj_at(cap as u64 * elem_size, Category::Slice, Some(site));
-                let mut cells = vec![item];
-                cells.resize_with(cap, || Value::Int(0));
-                Ok(Value::slice(SliceVal {
-                    cells: Rc::new(RefCell::new(cells)),
-                    obj: Some(obj),
-                    offset: 0,
-                    len: 1,
-                    elem_size,
-                }))
-            }
-            Value::Slice(mut s) => {
-                self.shadow_access(s.obj, "append");
-                if s.len < s.cap() {
-                    let at = s.offset + s.len;
-                    s.cells.borrow_mut()[at] = item;
-                    Rc::make_mut(&mut s).len += 1;
-                    Ok(Value::Slice(s))
-                } else {
-                    let new_cap = (s.cap() * 2).max(8);
-                    let obj =
-                        self.new_obj_at(new_cap as u64 * elem_size, Category::Slice, Some(site));
-                    let mut cells: Vec<Value> =
-                        s.cells.borrow()[s.offset..s.offset + s.len].to_vec();
-                    cells.push(item);
-                    cells.resize_with(new_cap, || Value::Int(0));
-                    Ok(Value::slice(SliceVal {
-                        cells: Rc::new(RefCell::new(cells)),
-                        obj: Some(obj),
-                        offset: 0,
-                        len: s.len + 1,
-                        elem_size,
-                    }))
-                }
-            }
-            _ => Err(ExecError::Internal("append to non-slice".into())),
-        }
-    }
-
     /// The `LoadSlot` body (sans tick), shared with the fused handlers.
     /// The hot
     /// path (a plain, unpoisoned slot) must stay small enough to inline
     /// into the dispatch loop; the error constructions are kept out of
     /// line behind `#[cold]`. `inline(always)` because LLVM refuses the
     /// hint at this size yet the call sits on every fused load's hot
-    /// path (a measured win; see DESIGN.md §12).
+    /// path (a measured win; see DESIGN.md §12). It matches the slot in
+    /// place: handing the value out through an `Option` first cost
+    /// `subjects` 3% of `run_ms`.
     #[inline(always)]
     fn slot_value(&self, f: &BFunc, s: u32) -> Result<Value> {
         #[cold]
@@ -1508,25 +991,24 @@ impl BVm {
                 f.slot_names[s as usize]
             ))
         }
-        let frame = self.frames.last().expect("in a frame");
-        let v = match &frame.slots[s as usize] {
-            BSlot::Plain(v) => v.clone(),
-            BSlot::Boxed(cell, _) => cell.borrow().clone(),
-            BSlot::Empty => return Err(undeclared(f, s)),
+        let v = match &self.frames.last().expect("in a frame").slots[s as usize] {
+            Slot::Plain(v) => v.clone(),
+            Slot::Boxed(cell, _) => cell.borrow().clone(),
+            Slot::Empty => return Err(undeclared(f, s)),
         };
         check_poison(v)
     }
 
     // ---- scalar fast-path peeks ----
     //
-    // Each reads a `BSlot::Plain` slot or a pool constant by reference
+    // Each reads a `Slot::Plain` slot or a pool constant by reference
     // and answers `None` for everything the generic path must see:
     // `Boxed` and `Empty` slots, poison, and values of another kind.
 
     #[inline(always)]
     fn peek(&self, s: u32) -> Option<&Value> {
         match &self.frames.last().expect("in a frame").slots[s as usize] {
-            BSlot::Plain(v) => Some(v),
+            Slot::Plain(v) => Some(v),
             _ => None,
         }
     }
@@ -1557,7 +1039,7 @@ impl BVm {
     /// is an in-range int and no shadow heap must see the access.
     #[inline(always)]
     fn peek_elem(&self, base: u32, i: Option<i64>) -> Option<(&SliceVal, usize)> {
-        if self.shadow.is_some() {
+        if self.mu.sanitizing() {
             return None;
         }
         let Some(Value::Slice(s)) = self.peek(base) else {
@@ -1579,7 +1061,7 @@ impl BVm {
     /// collector has no write barrier to run.
     #[inline(always)]
     fn fast_index_set(&self, base: u32, i: Option<i64>) -> Option<(&SliceVal, usize)> {
-        if self.rt.has_write_barrier() {
+        if self.mu.rt.has_write_barrier() {
             return None;
         }
         self.peek_elem(base, i)
@@ -1588,13 +1070,7 @@ impl BVm {
     /// The `StoreSlot` body, shared with the fused handlers.
     #[inline]
     fn store_slot(&mut self, s: u32, v: Value) -> Result<()> {
-        let frame = self.frames.last_mut().expect("in a frame");
-        match &mut frame.slots[s as usize] {
-            BSlot::Plain(p) => *p = v,
-            BSlot::Boxed(cell, _) => *cell.borrow_mut() = v,
-            BSlot::Empty => Err(ExecError::Internal("write to undeclared variable".into()))?,
-        }
-        Ok(())
+        self.frames.last_mut().expect("in a frame").slots[s as usize].set(v)
     }
 
     /// The `IndexGet` body, shared by the plain, IC, and fused handlers.
@@ -1608,26 +1084,13 @@ impl BVm {
                 let Value::Int(i) = idx else {
                     return Err(expected_int(&idx));
                 };
-                if i < 0 || i as usize >= s.len {
-                    return Err(ExecError::OutOfBounds {
-                        index: i,
-                        len: s.len,
-                    });
-                }
-                self.shadow_access(s.obj, "slice index read");
-                let v = s.cells.borrow()[s.offset + i as usize].clone();
-                check_poison(v)
+                self.mu.slice_get(&s, i)
             }
             Value::Map(map) => {
                 let key = idx
                     .as_key()
                     .ok_or_else(|| ExecError::Internal("bad map key".into()))?;
-                self.rt.tick(2);
-                self.shadow_access_map(&map, "map lookup");
-                let data = map.data.borrow();
-                if data.poisoned {
-                    return Err(ExecError::PoisonedRead);
-                }
+                let data = self.mu.map_lookup(&map)?;
                 if let Some(slot) = ic {
                     let tag = Rc::as_ptr(&map.data) as usize;
                     let e = self.ics[slot as usize];
@@ -1668,16 +1131,7 @@ impl BVm {
                 let Value::Int(i) = idx else {
                     return Err(expected_int(&idx));
                 };
-                if i < 0 || i as usize >= s.len {
-                    return Err(ExecError::OutOfBounds {
-                        index: i,
-                        len: s.len,
-                    });
-                }
-                self.shadow_access(s.obj, "slice index write");
-                barrier_store(&mut self.rt, &self.objects, s.obj);
-                s.cells.borrow_mut()[s.offset + i as usize] = v;
-                Ok(())
+                self.mu.slice_set(&s, i, v)
             }
             Value::Map(map) => {
                 let key = idx
@@ -1692,9 +1146,7 @@ impl BVm {
 
     #[inline]
     fn map_insert(&mut self, m: &MapVal, key: Key, value: Value, ic: Option<u32>) -> Result<()> {
-        self.rt.tick(3);
-        self.shadow_access_map(m, "map insert");
-        barrier_store_map(&mut self.rt, &self.objects, m);
+        self.mu.before_map_insert(m);
         if let Some(slot) = ic {
             let tag = Rc::as_ptr(&m.data) as usize;
             let e = self.ics[slot as usize];
@@ -1713,7 +1165,7 @@ impl BVm {
                 }
             }
             self.ic_misses += 1;
-            self.map_insert_slow(m, key.clone(), value)?;
+            self.mu.map_insert(m, key.clone(), value)?;
             let idx = m
                 .data
                 .borrow()
@@ -1724,50 +1176,7 @@ impl BVm {
             self.ics[slot as usize] = IcEntry { tag, idx };
             return Ok(());
         }
-        self.map_insert_slow(m, key, value)
-    }
-
-    /// The growth-checking insert; ticks/shadow/barrier are the caller's.
-    fn map_insert_slow(&mut self, m: &MapVal, key: Key, value: Value) -> Result<()> {
-        let (is_new, needs_growth) = {
-            let data = m.data.borrow();
-            if data.poisoned {
-                return Err(ExecError::PoisonedRead);
-            }
-            let is_new = data.get(&key).is_none();
-            (is_new, is_new && data.len() + 1 > data.bucket_cap)
-        };
-        if needs_growth {
-            let (old, new_cap, entry_size, origin) = {
-                let mut data = m.data.borrow_mut();
-                let new_cap = data.bucket_cap * 2;
-                data.bucket_cap = new_cap;
-                (
-                    data.buckets_obj.take(),
-                    new_cap,
-                    data.entry_size,
-                    data.origin,
-                )
-            };
-            let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
-            m.data.borrow_mut().buckets_obj = Some(new_obj);
-            if let Some(old) = old {
-                if self.cfg.grow_map_free_old {
-                    let (_, _poison) = self.free_obj(old, FreeSource::MapGrowOld, false);
-                } else {
-                    let _ = old;
-                }
-            }
-        }
-        let _ = is_new;
-        m.data.borrow_mut().insert(key, value);
-        Ok(())
-    }
-
-    fn do_print(&mut self, values: &[Value]) {
-        let line: Vec<String> = values.iter().map(Value::display).collect();
-        self.output.push_str(&line.join(" "));
-        self.output.push('\n');
+        self.mu.map_insert(m, key, value)
     }
 }
 

@@ -13,7 +13,8 @@ mod ir;
 mod lower;
 mod opt;
 
-pub use exec::{run_module, BSession};
+pub use exec::run_module;
+pub(crate) use exec::BVm;
 pub use ir::{BFunc, Const, Instr, Module};
 pub use lower::lower;
 pub use opt::{optimize, OptStats};
@@ -21,7 +22,7 @@ pub use opt::{optimize, OptStats};
 use minigo_escape::Analysis;
 use minigo_syntax::{Program, Resolution, TypeInfo};
 
-use crate::interp::{Result, RunOutcome, VmConfig};
+use crate::mutator::{Result, RunOutcome, VmConfig};
 
 /// Lowers `program` and runs its `main` on the bytecode engine.
 ///

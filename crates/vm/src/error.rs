@@ -31,6 +31,15 @@ pub enum ExecError {
     /// A session call named a function the program does not define (the
     /// service harness' `setup`/`handle` contract).
     NoFunc(String),
+    /// A session call passed a function the wrong number of arguments.
+    Arity {
+        /// The function called.
+        func: String,
+        /// Its parameter count.
+        params: usize,
+        /// The number of arguments passed.
+        args: usize,
+    },
     /// The runtime configuration failed validation before the run
     /// started (e.g. GOGC=0 with GC enabled, a zero assist divisor, or a
     /// generational nursery at or above the heap goal).
@@ -58,6 +67,12 @@ impl fmt::Display for ExecError {
             ExecError::StackOverflow => write!(f, "stack overflow"),
             ExecError::NoMain => write!(f, "program has no func main()"),
             ExecError::NoFunc(name) => write!(f, "program has no func {name}()"),
+            ExecError::Arity { func, params, args } => {
+                write!(
+                    f,
+                    "func {func}() takes {params} arguments, called with {args}"
+                )
+            }
             ExecError::InvalidConfig(err) => write!(f, "invalid runtime configuration: {err}"),
             ExecError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             ExecError::Internal(what) => write!(f, "internal error: {what}"),

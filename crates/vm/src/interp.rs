@@ -1,139 +1,26 @@
 //! The tree-walking interpreter.
 //!
-//! Executes an (optionally instrumented) MiniGo program against the
-//! simulated runtime: allocation sites honor the escape analysis'
-//! stack-or-heap decisions, inserted `tcfree` statements call into the
-//! runtime's free primitives, and GC runs at statement boundaries
-//! (safepoints) when the pacer requests it, marking from the VM's frames.
+//! Executes an (optionally instrumented) MiniGo program by recursing
+//! over its typed AST. Allocation sites honor the escape analysis'
+//! stack-or-heap decisions, inserted `tcfree` statements free through
+//! the runtime, and GC runs at statement boundaries (safepoints) when
+//! the pacer requests it; all of that goes through the [`Mutator`] both
+//! engines share. The engine itself owns only its frames and evaluation.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use minigo_escape::{AllocPlace, Analysis, Mode};
-use minigo_runtime::{
-    Category, FreeOutcome, FreeSource, ObjAddr, Runtime, RuntimeConfig, ShadowHeap, ShadowViolation,
-};
+use minigo_escape::{AllocPlace, Analysis};
+use minigo_runtime::Runtime;
 use minigo_syntax::{
-    BinOp, Block, Builtin, Expr, ExprKind, Func, FuncId, Program, Resolution, Stmt, StmtKind, Type,
+    BinOp, Block, Builtin, Expr, ExprKind, FuncId, Program, Resolution, Stmt, StmtKind, Type,
     TypeInfo, UnOp, VarId,
 };
 
 use crate::error::ExecError;
-use crate::value::{filled, Cell, Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};
-
-/// Result alias for execution.
-pub type Result<T> = std::result::Result<T, ExecError>;
-
-/// VM configuration.
-#[derive(Debug, Clone)]
-pub struct VmConfig {
-    /// Runtime (allocator/GC/tcfree) configuration.
-    pub runtime: RuntimeConfig,
-    /// Abort after this many statements (runaway guard).
-    pub step_limit: u64,
-    /// Maximum call depth.
-    pub max_frames: usize,
-    /// Whether GoFree's runtime-side map-growth freeing is active
-    /// (§4.6.2's GrowMapAndFreeOld). True when running GoFree-compiled
-    /// programs.
-    pub grow_map_free_old: bool,
-    /// Batch adjacent `tcfree` statements (§5, "Possibility of Batching"):
-    /// consecutive frees share one call overhead. Off by default, as in
-    /// the paper.
-    pub batch_frees: bool,
-    /// Run the shadow-heap sanitizer: check every load, store, and free
-    /// against an out-of-band shadow of the heap and report
-    /// use-after-free / use-after-revert / untolerated-double-free
-    /// violations in [`RunOutcome::violations`]. Has no effect on the
-    /// simulation itself (no ticks, no metrics, no RNG).
-    pub sanitize: bool,
-}
-
-impl Default for VmConfig {
-    fn default() -> Self {
-        VmConfig {
-            runtime: RuntimeConfig::default(),
-            step_limit: 500_000_000,
-            max_frames: 4096,
-            grow_map_free_old: true,
-            batch_frees: false,
-            sanitize: false,
-        }
-    }
-}
-
-impl VmConfig {
-    /// Configuration matching an analysis mode: plain-Go programs do not
-    /// get the map-growth runtime optimization.
-    pub fn for_mode(mode: Mode) -> Self {
-        VmConfig {
-            grow_map_free_old: mode == Mode::GoFree,
-            ..VmConfig::default()
-        }
-    }
-}
-
-/// The result of a completed run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Everything `print` produced.
-    pub output: String,
-    /// Virtual wall-clock time (table 5 `time`).
-    pub time: u64,
-    /// Runtime metrics (table 5, 8, 9 inputs).
-    pub metrics: minigo_runtime::Metrics,
-    /// Statements executed.
-    pub steps: u64,
-    /// Per-allocation-site profile, sorted by bytes descending (the
-    /// paper's profiling-tool view of where heap memory comes from).
-    pub site_profile: Vec<SiteProfile>,
-    /// Shadow-heap sanitizer findings (empty unless
-    /// [`VmConfig::sanitize`] was on). Carried out-of-band: `output`,
-    /// `time`, `metrics`, and `steps` are bit-identical with the
-    /// sanitizer on or off.
-    pub violations: Vec<ShadowViolation>,
-    /// The typed runtime event stream (present only when
-    /// [`minigo_runtime::RuntimeConfig::trace`] was on). Carried
-    /// out-of-band like `violations`: every other report field is
-    /// bit-identical with tracing on or off, and the stream itself is
-    /// bit-identical across the two VM engines.
-    pub trace: Option<minigo_runtime::Trace>,
-    /// Which collection backend ran
-    /// ([`minigo_runtime::RuntimeConfig::collector`]).
-    pub collector: minigo_runtime::CollectorKind,
-    /// Inline-cache hits, when the bytecode engine ran an optimized
-    /// module (always 0 on the tree-walk and on unoptimized streams).
-    /// Carried out-of-band like `violations`: the caches cannot change
-    /// any other field.
-    pub ic_hits: u64,
-    /// Inline-cache misses (see `ic_hits`).
-    pub ic_misses: u64,
-    /// Optimizer-tier rewrite statistics for the module this run
-    /// executed. The VM itself leaves this `None`; the driver that
-    /// selected an optimized stream fills it in (so it is `None` on the
-    /// tree-walk and at `--opt off`).
-    pub opt: Option<crate::bytecode::OptStats>,
-    /// Liveness free-placement counters for the compiled program this
-    /// run executed. Like `opt`, the VM leaves this `None`; the driver
-    /// copies it from the compile so both engines report identically
-    /// (it is `None` in `--free-placement scope` and plain-Go runs).
-    pub placement: Option<minigo_escape::PlacementStats>,
-}
-
-/// The id type used for profile attribution (an expression id).
-pub type SiteId = minigo_syntax::ExprId;
-
-/// Heap allocation statistics for one allocation expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteProfile {
-    /// The allocation expression (make/new/&T{}/append).
-    pub site: minigo_syntax::ExprId,
-    /// Objects allocated at this site.
-    pub count: u64,
-    /// Bytes allocated at this site.
-    pub bytes: u64,
-}
+use crate::mutator::{DeferKind, Deferred, Mutator, Result, Roots, RunOutcome, Slot, VmConfig};
+use crate::session::{Engine, Session};
+use crate::value::{PtrVal, SliceVal, Value};
 
 /// Runs `program`'s `main` function.
 ///
@@ -148,119 +35,9 @@ pub fn run(
     analysis: &Analysis,
     cfg: VmConfig,
 ) -> Result<RunOutcome> {
-    cfg.runtime.validate().map_err(ExecError::InvalidConfig)?;
-    let main = program.func("main").ok_or(ExecError::NoMain)?;
-    let mut vm = Vm::new(program, res, types, analysis, cfg);
-    vm.call_function(main.id, Vec::new())?;
-    Ok(vm.finish())
-}
-
-/// A persistent tree-walk execution session: one runtime, one heap, one
-/// virtual clock, driven through repeated function calls instead of a
-/// single `main`. The service harness uses it to execute request
-/// handlers against state that survives between calls — GC pacing,
-/// tcfree bail-outs, and heap growth accumulate across requests exactly
-/// as they would inside one long-running program.
-///
-/// Values returned by one call may be passed back into later calls; to
-/// keep them (and everything reachable from them) alive across the GC
-/// cycles in between, root them with [`Session::hold`].
-pub struct Session<'p> {
-    vm: Vm<'p>,
-}
-
-impl<'p> Session<'p> {
-    /// Creates a session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::InvalidConfig`] when the runtime
-    /// configuration fails validation.
-    pub fn new(
-        program: &'p Program,
-        res: &'p Resolution,
-        types: &'p TypeInfo,
-        analysis: &'p Analysis,
-        cfg: VmConfig,
-    ) -> Result<Self> {
-        cfg.runtime.validate().map_err(ExecError::InvalidConfig)?;
-        Ok(Session {
-            vm: Vm::new(program, res, types, analysis, cfg),
-        })
-    }
-
-    /// Calls a top-level function by name and returns its results. The
-    /// call costs exactly what the same call would cost inside a
-    /// program: both engines drive it through their ordinary call
-    /// protocol, so session runs stay bit-identical across engines.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::NoFunc`] for an unknown name; otherwise whatever the
-    /// call itself raises.
-    pub fn call(&mut self, name: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        let func = self
-            .vm
-            .program
-            .func(name)
-            .ok_or_else(|| ExecError::NoFunc(name.to_string()))?;
-        self.vm.call_function(func.id, args)
-    }
-
-    /// Roots `values` for the rest of the session: they (and everything
-    /// reachable from them) survive every GC cycle until [`Session::finish`].
-    pub fn hold(&mut self, values: Vec<Value>) {
-        self.vm.held.extend(values);
-    }
-
-    /// Elapsed virtual time.
-    pub fn now(&self) -> u64 {
-        self.vm.rt.now()
-    }
-
-    /// Advances the virtual clock to absolute time `t` (idle waiting; see
-    /// [`Runtime::idle_until`](minigo_runtime::Runtime::idle_until)).
-    pub fn idle_until(&mut self, t: u64) {
-        self.vm.rt.idle_until(t);
-    }
-
-    /// Current live heap bytes.
-    pub fn heap_live(&self) -> u64 {
-        self.vm.rt.heap_live()
-    }
-
-    /// Current page-level heap footprint in bytes.
-    pub fn footprint(&self) -> u64 {
-        self.vm.rt.footprint()
-    }
-
-    /// Every completed GC cycle's stop record so far.
-    pub fn pauses(&self) -> &[minigo_runtime::Pause] {
-        self.vm.rt.pauses()
-    }
-
-    /// Records a completed-request trace span (no-op without tracing).
-    pub fn note_request(&mut self, id: u64, arrival: u64, start: u64) {
-        self.vm.rt.trace_request(id, arrival, start);
-    }
-
-    /// Ends the session: finalizes the runtime (leftover objects count
-    /// toward the GC columns, held state included) and assembles the
-    /// same [`RunOutcome`] a one-shot [`run`] would produce.
-    pub fn finish(self) -> RunOutcome {
-        self.vm.finish()
-    }
-}
-
-/// The runtime entry point a [`FreeSource`] corresponds to (table 4) —
-/// used to label sanitizer findings.
-pub(crate) fn free_op_name(source: FreeSource) -> &'static str {
-    match source {
-        FreeSource::SliceLifetime => "FreeSlice",
-        FreeSource::MapLifetime => "FreeMap",
-        FreeSource::MapGrowOld => "GrowMapAndFreeOld",
-        FreeSource::Object => "Tcfree",
-    }
+    let mut session = Session::tree_walk(program, res, types, analysis, cfg)?;
+    session.run_main()?;
+    Ok(session.finish())
 }
 
 enum Flow {
@@ -270,75 +47,64 @@ enum Flow {
     Return,
 }
 
-enum Slot {
-    Plain(Value),
-    Boxed(Cell, Option<ObjId>),
-}
-
-enum DeferKind {
-    Func(FuncId),
-    Builtin(Builtin),
-}
-
-struct Deferred {
-    kind: DeferKind,
-    args: Vec<Value>,
-}
-
 struct Frame {
     func: FuncId,
     slots: HashMap<VarId, Slot>,
     defers: Vec<Deferred>,
 }
 
-struct Vm<'p> {
+impl Roots for Frame {
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.values()
+    }
+
+    fn defers(&self) -> &[Deferred] {
+        &self.defers
+    }
+}
+
+pub(crate) struct Vm<'p> {
     program: &'p Program,
     res: &'p Resolution,
     types: &'p TypeInfo,
     analysis: &'p Analysis,
-    cfg: VmConfig,
-    rt: Runtime,
-    /// Heap-accounted objects: id → allocator address.
-    objects: HashMap<ObjId, ObjAddr>,
-    addr_map: HashMap<ObjAddr, ObjId>,
-    next_obj: u64,
+    mu: Mutator,
     frames: Vec<Frame>,
     /// Address-taken variables per function (these get boxed slots).
     addr_taken: HashMap<FuncId, HashSet<VarId>>,
-    /// Per-site allocation profile: expr id -> (count, bytes).
-    site_profile: HashMap<minigo_syntax::ExprId, (u64, u64)>,
-    /// Interned call stacks, present when tracing: every function
-    /// entry/exit stamps the current stack id into the runtime so traced
-    /// events carry full call-stack attribution. Interning follows the
-    /// call sequence, which both engines execute identically, so stack
-    /// ids are bit-identical across engines.
-    stacks: Option<minigo_runtime::StackTable>,
-    /// The interned id of the current call stack (root when not tracing).
-    cur_stack: u32,
-    /// Set while executing the 2nd..nth statement of a `tcfree` run with
-    /// batching enabled: the call overhead was already charged.
-    in_free_batch: bool,
-    /// The shadow-heap sanitizer, present when `cfg.sanitize` is on.
-    shadow: Option<ShadowHeap>,
-    /// Session-held GC roots: values a [`Session`] keeps alive across
-    /// calls (service state returned by `setup` and passed back into
-    /// every `handle`). Always empty in one-shot [`run`] executions.
-    held: Vec<Value>,
-    output: String,
-    steps: u64,
+}
+
+impl Engine for Vm<'_> {
+    fn lookup(&self, name: &str) -> Option<(usize, usize)> {
+        let f = self.program.func(name)?;
+        Some((f.id.index(), self.res.params_of(f.id).len()))
+    }
+
+    fn invoke(&mut self, func: usize, args: Vec<Value>) -> Result<Vec<Value>> {
+        self.call_function(self.program.funcs[func].id, args)
+    }
+
+    fn mu(&self) -> &Mutator {
+        &self.mu
+    }
+
+    fn mu_mut(&mut self) -> &mut Mutator {
+        &mut self.mu
+    }
+
+    fn finish(self: Box<Self>) -> RunOutcome {
+        self.mu.finish()
+    }
 }
 
 impl<'p> Vm<'p> {
-    fn new(
+    pub(crate) fn new(
         program: &'p Program,
         res: &'p Resolution,
         types: &'p TypeInfo,
         analysis: &'p Analysis,
-        cfg: VmConfig,
+        mu: Mutator,
     ) -> Self {
-        let rt = Runtime::new(cfg.runtime.clone());
-        let shadow = cfg.sanitize.then(ShadowHeap::new);
-        let stacks = cfg.runtime.trace.then(minigo_runtime::StackTable::new);
         let mut addr_taken = HashMap::new();
         for func in &program.funcs {
             let mut set = HashSet::new();
@@ -350,120 +116,9 @@ impl<'p> Vm<'p> {
             res,
             types,
             analysis,
-            cfg,
-            rt,
-            objects: HashMap::new(),
-            addr_map: HashMap::new(),
-            next_obj: 0,
+            mu,
             frames: Vec::new(),
             addr_taken,
-            site_profile: HashMap::new(),
-            stacks,
-            cur_stack: minigo_runtime::ROOT_STACK,
-            in_free_batch: false,
-            shadow,
-            held: Vec::new(),
-            output: String::new(),
-            steps: 0,
-        }
-    }
-
-    /// End-of-run accounting shared by [`run`] and [`Session::finish`]:
-    /// finalizes the runtime and assembles the report.
-    fn finish(mut self) -> RunOutcome {
-        self.rt.finalize();
-        let mut site_profile: Vec<SiteProfile> = self
-            .site_profile
-            .iter()
-            .map(|(&site, &(count, bytes))| SiteProfile { site, count, bytes })
-            .collect();
-        site_profile.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.site.cmp(&b.site)));
-        let violations = match self.shadow.as_mut() {
-            Some(sh) => sh.take_violations(),
-            None => Vec::new(),
-        };
-        let mut trace = self.rt.take_trace();
-        if let (Some(tr), Some(st)) = (trace.as_mut(), self.stacks.take()) {
-            // The runtime only sees interned ids; the table that resolves
-            // them lives in the VM and rides along in the trace.
-            tr.stacks = st;
-        }
-        RunOutcome {
-            output: std::mem::take(&mut self.output),
-            time: self.rt.now(),
-            metrics: self.rt.metrics().clone(),
-            steps: self.steps,
-            site_profile,
-            violations,
-            trace,
-            collector: self.rt.collector_kind(),
-            ic_hits: 0,
-            ic_misses: 0,
-            opt: None,
-            placement: None,
-        }
-    }
-
-    // ---- object accounting ----
-
-    fn new_obj(&mut self, size: u64, cat: Category) -> ObjId {
-        self.new_obj_at(size, cat, None)
-    }
-
-    fn new_obj_at(
-        &mut self,
-        size: u64,
-        cat: Category,
-        site: Option<minigo_syntax::ExprId>,
-    ) -> ObjId {
-        if let Some(site) = site {
-            let entry = self.site_profile.entry(site).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += size;
-        }
-        let addr = self.rt.alloc_at(size, cat, site.map(|s| s.0));
-        // The allocator may hand back a previously swept address.
-        if let Some(old) = self.addr_map.insert(addr, ObjId(self.next_obj)) {
-            self.objects.remove(&old);
-        }
-        let id = ObjId(self.next_obj);
-        self.next_obj += 1;
-        self.objects.insert(id, addr);
-        if let Some(sh) = &mut self.shadow {
-            sh.on_alloc(id.0, addr);
-        }
-        id
-    }
-
-    /// Attempts a `tcfree` on an accounted object. Returns the outcome and
-    /// whether the payload should be poisoned.
-    fn free_obj(&mut self, obj: ObjId, source: FreeSource) -> (FreeOutcome, bool) {
-        if let Some(sh) = &mut self.shadow {
-            sh.check_free(obj.0, free_op_name(source), self.steps);
-        }
-        let Some(&addr) = self.objects.get(&obj) else {
-            // Already freed or swept: tolerated double free.
-            return (
-                FreeOutcome::Bailed(minigo_runtime::BailReason::AlreadyFree),
-                false,
-            );
-        };
-        let out = if self.in_free_batch {
-            self.rt.tcfree_continue(addr, source)
-        } else {
-            self.rt.tcfree(addr, source)
-        };
-        match out {
-            FreeOutcome::Freed { .. } => {
-                self.objects.remove(&obj);
-                self.addr_map.remove(&addr);
-                if let Some(sh) = &mut self.shadow {
-                    sh.on_free(obj.0, addr);
-                }
-                (out, false)
-            }
-            FreeOutcome::Poisoned => (out, true),
-            FreeOutcome::Bailed(_) => (out, false),
         }
     }
 
@@ -471,93 +126,17 @@ impl<'p> Vm<'p> {
         self.analysis.place_of(expr.id)
     }
 
-    // ---- shadow-heap sanitizer hooks ----
-
-    /// Checks a load or store through `obj` against the shadow heap.
-    /// No-op when the sanitizer is off or the value is stack-allocated
-    /// (`obj` is `None`).
-    fn shadow_access(&mut self, obj: Option<ObjId>, op: &'static str) {
-        if let (Some(sh), Some(obj)) = (self.shadow.as_mut(), obj) {
-            sh.check_access(obj.0, op, self.steps);
-        }
-    }
-
-    /// Checks a map operation against the shadow heap: both the hmap
-    /// header object and the current bucket array are consulted.
-    fn shadow_access_map(&mut self, m: &MapVal, op: &'static str) {
-        if self.shadow.is_some() {
-            let buckets = m.data.borrow().buckets_obj;
-            self.shadow_access(m.obj, op);
-            self.shadow_access(buckets, op);
-        }
-    }
-
-    // ---- GC ----
-
-    fn safepoint(&mut self) -> Result<()> {
-        self.steps += 1;
-        if self.steps > self.cfg.step_limit {
-            return Err(ExecError::StepLimit);
-        }
-        self.rt.tick(1);
-        if self.rt.gc_pending() {
-            self.collect_garbage();
-        }
-        Ok(())
-    }
-
-    fn collect_garbage(&mut self) {
-        let mut marked: HashSet<ObjAddr> = HashSet::new();
-        let mut seen: HashSet<usize> = HashSet::new();
-        for frame in &self.frames {
-            for slot in frame.slots.values() {
-                match slot {
-                    Slot::Plain(v) => {
-                        mark_value(v, &self.objects, &mut marked, &mut seen);
-                    }
-                    Slot::Boxed(cell, obj) => {
-                        if let Some(obj) = obj {
-                            if let Some(&addr) = self.objects.get(obj) {
-                                marked.insert(addr);
-                            }
-                        }
-                        if seen.insert(Rc::as_ptr(cell) as usize) {
-                            mark_value(&cell.borrow(), &self.objects, &mut marked, &mut seen);
-                        }
-                    }
-                }
-            }
-            for d in &frame.defers {
-                for v in &d.args {
-                    mark_value(v, &self.objects, &mut marked, &mut seen);
-                }
-            }
-        }
-        for v in &self.held {
-            mark_value(v, &self.objects, &mut marked, &mut seen);
-        }
-        let swept = self.rt.collect(&marked);
-        for (addr, _, _) in &swept.freed {
-            if let Some(obj) = self.addr_map.remove(addr) {
-                self.objects.remove(&obj);
-                if let Some(sh) = &mut self.shadow {
-                    sh.on_sweep(obj.0);
-                }
-            }
-        }
-    }
-
     // ---- calls ----
 
     fn call_function(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Vec<Value>> {
-        if self.frames.len() >= self.cfg.max_frames {
+        if self.frames.len() >= self.mu.cfg.max_frames {
             return Err(ExecError::StackOverflow);
         }
         let func = &self.program.funcs[fid.index()];
         let mut slots = HashMap::new();
         let taken = &self.addr_taken[&fid];
         for (&pvar, arg) in self.res.params_of(fid).iter().zip(args) {
-            slots.insert(pvar, make_slot(arg, taken.contains(&pvar)));
+            slots.insert(pvar, Slot::new(arg, taken.contains(&pvar)));
         }
         for &rvar in self.res.results_of(fid) {
             let ty = self
@@ -565,62 +144,36 @@ impl<'p> Vm<'p> {
                 .var(rvar)
                 .ok_or_else(|| ExecError::Internal("untyped result".into()))?;
             let zero = self.zero_value(ty);
-            slots.insert(rvar, make_slot(zero, taken.contains(&rvar)));
+            slots.insert(rvar, Slot::new(zero, taken.contains(&rvar)));
         }
         self.frames.push(Frame {
             func: fid,
             slots,
             defers: Vec::new(),
         });
-        let parent_stack = self.enter_stack(&func.name);
+        let parent_stack = self.mu.enter_stack(&func.name);
 
         let body = &func.body;
         let flow = self.exec_block(body);
         // Run defers LIFO regardless of how the body exited; on panic the
         // defers still run before unwinding continues.
         let defer_result = self.run_defers();
-        let flow = match (flow, defer_result) {
-            (Err(e), _) => Err(e),
-            (_, Err(e)) => Err(e),
-            (Ok(f), Ok(())) => Ok(f),
-        };
-        match flow {
-            Err(e) => {
-                self.leave_stack(parent_stack);
-                self.frames.pop();
-                Err(e)
-            }
-            Ok(_) => {
-                let mut results = Vec::new();
-                for &rvar in self.res.results_of(fid) {
-                    results.push(self.read_var(rvar)?);
-                }
-                self.leave_stack(parent_stack);
-                self.frames.pop();
-                Ok(results)
-            }
+        if let Err(e) = flow.and(defer_result) {
+            self.mu.leave_stack(parent_stack);
+            self.frames.pop();
+            return Err(e);
         }
-    }
-
-    /// Tracing only: interns the stack extended with `name`, stamps it
-    /// into the runtime, and returns the previous stack id for
-    /// [`Vm::leave_stack`]. A no-op returning the root id when tracing is
-    /// off.
-    fn enter_stack(&mut self, name: &str) -> u32 {
-        let parent = self.cur_stack;
-        if let Some(st) = &mut self.stacks {
-            self.cur_stack = st.push(parent, name);
-            self.rt.set_stack(self.cur_stack);
-        }
-        parent
-    }
-
-    /// Tracing only: restores the caller's stack id on function exit.
-    fn leave_stack(&mut self, parent: u32) {
-        if self.stacks.is_some() {
-            self.cur_stack = parent;
-            self.rt.set_stack(parent);
-        }
+        // A result that fails to read leaves the frame in place, as the
+        // bytecode engine's call protocol does.
+        let results = self
+            .res
+            .results_of(fid)
+            .iter()
+            .map(|&rvar| self.read_var(rvar))
+            .collect::<Result<Vec<_>>>()?;
+        self.mu.leave_stack(parent_stack);
+        self.frames.pop();
+        Ok(results)
     }
 
     fn run_defers(&mut self) -> Result<()> {
@@ -629,12 +182,10 @@ impl<'p> Vm<'p> {
                 return Ok(());
             };
             match d.kind {
-                DeferKind::Func(fid) => {
-                    self.call_function(fid, d.args)?;
+                DeferKind::Func(func) => {
+                    self.call_function(self.program.funcs[func].id, d.args)?;
                 }
-                DeferKind::Builtin(Builtin::Print) => {
-                    self.do_print(&d.args);
-                }
+                DeferKind::Builtin(Builtin::Print) => self.mu.print(&d.args),
                 DeferKind::Builtin(_) => {}
             }
         }
@@ -645,8 +196,7 @@ impl<'p> Vm<'p> {
     /// escapes.
     fn declare_var(&mut self, var: VarId, value: Value) {
         let fid = self.frames.last().expect("in a frame").func;
-        let boxed = self.addr_taken[&fid].contains(&var);
-        let slot = if boxed {
+        let slot = if self.addr_taken[&fid].contains(&var) {
             let heap = self
                 .analysis
                 .funcs
@@ -654,18 +204,12 @@ impl<'p> Vm<'p> {
                 .and_then(|fg| fg.var_locs.get(&var).copied())
                 .map(|loc| self.analysis.funcs[&fid].graph.loc(loc).heap_alloc)
                 .unwrap_or(false);
-            let obj = if heap {
-                let size = self
-                    .types
-                    .var(var)
-                    .map(|t| self.types.inline_size(t))
-                    .unwrap_or(8);
-                Some(self.new_obj(size, Category::Other))
-            } else {
-                self.rt.stack_alloc(Category::Other);
-                None
-            };
-            Slot::Boxed(Rc::new(RefCell::new(value)), obj)
+            let size = self
+                .types
+                .var(var)
+                .map(|t| self.types.inline_size(t))
+                .unwrap_or(8);
+            self.mu.boxed_slot(heap, size, value)
         } else {
             Slot::Plain(value)
         };
@@ -677,32 +221,29 @@ impl<'p> Vm<'p> {
     }
 
     fn read_var(&self, var: VarId) -> Result<Value> {
-        for frame in self.frames.iter().rev() {
-            if let Some(slot) = frame.slots.get(&var) {
-                let v = match slot {
-                    Slot::Plain(v) => v.clone(),
-                    Slot::Boxed(cell, _) => cell.borrow().clone(),
-                };
-                return check_poison(v);
+        let v = match self.frames.iter().rev().find_map(|f| f.slots.get(&var)) {
+            Some(Slot::Plain(v)) => v.clone(),
+            Some(Slot::Boxed(cell, _)) => cell.borrow().clone(),
+            Some(Slot::Empty) | None => {
+                return Err(ExecError::Internal(format!(
+                    "variable {} not found in any frame",
+                    self.res.var(var).name
+                )))
             }
-        }
-        Err(ExecError::Internal(format!(
-            "variable {} not found in any frame",
-            self.res.var(var).name
-        )))
+        };
+        check_poison(v)
     }
 
     fn write_var(&mut self, var: VarId, value: Value) -> Result<()> {
-        for frame in self.frames.iter_mut().rev() {
-            if let Some(slot) = frame.slots.get_mut(&var) {
-                match slot {
-                    Slot::Plain(v) => *v = value,
-                    Slot::Boxed(cell, _) => *cell.borrow_mut() = value,
-                }
-                return Ok(());
-            }
+        match self
+            .frames
+            .iter_mut()
+            .rev()
+            .find_map(|f| f.slots.get_mut(&var))
+        {
+            Some(slot) => slot.set(value),
+            None => Err(ExecError::Internal("write to undeclared variable".into())),
         }
-        Err(ExecError::Internal("write to undeclared variable".into()))
     }
 
     // ---- statements ----
@@ -710,13 +251,10 @@ impl<'p> Vm<'p> {
     fn exec_block(&mut self, block: &Block) -> Result<Flow> {
         let mut prev_was_free = false;
         for stmt in &block.stmts {
-            self.safepoint()?;
-            let is_free = matches!(stmt.kind, StmtKind::Free { .. });
-            self.in_free_batch = self.cfg.batch_frees && is_free && prev_was_free;
-            let flow = self.exec_stmt(stmt);
-            self.in_free_batch = false;
-            prev_was_free = is_free;
-            match flow? {
+            self.mu.safepoint(&self.frames)?;
+            let batched = self.mu.cfg.batch_frees && prev_was_free;
+            prev_was_free = matches!(stmt.kind, StmtKind::Free { .. });
+            match self.exec_stmt(stmt, batched)? {
                 Flow::Normal => {}
                 other => return Ok(other),
             }
@@ -724,7 +262,10 @@ impl<'p> Vm<'p> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt) -> Result<Flow> {
+    /// Executes one statement; `batched` marks a `tcfree` that directly
+    /// follows another in its block, which shares that one's call
+    /// overhead when [`VmConfig::batch_frees`] is on.
+    fn exec_stmt(&mut self, stmt: &Stmt, batched: bool) -> Result<Flow> {
         match &stmt.kind {
             StmtKind::VarDecl { names, ty, init } => {
                 let values = if init.is_empty() {
@@ -780,7 +321,7 @@ impl<'p> Vm<'p> {
                 if self.eval_bool(cond)? {
                     self.exec_block(then)
                 } else if let Some(els) = els {
-                    self.exec_stmt(els)
+                    self.exec_stmt(els, false)
                 } else {
                     Ok(Flow::Normal)
                 }
@@ -792,7 +333,7 @@ impl<'p> Vm<'p> {
                 body,
             } => {
                 if let Some(init) = init {
-                    self.exec_stmt(init)?;
+                    self.exec_stmt(init, false)?;
                 }
                 loop {
                     if let Some(cond) = cond {
@@ -806,9 +347,9 @@ impl<'p> Vm<'p> {
                         Flow::Normal | Flow::Continue => {}
                     }
                     if let Some(post) = post {
-                        self.exec_stmt(post)?;
+                        self.exec_stmt(post, false)?;
                     }
-                    self.safepoint()?;
+                    self.mu.safepoint(&self.frames)?;
                 }
                 Ok(Flow::Normal)
             }
@@ -839,7 +380,7 @@ impl<'p> Vm<'p> {
                             .res
                             .func_by_name(callee)
                             .ok_or_else(|| ExecError::Internal("unknown callee".into()))?;
-                        (DeferKind::Func(fid), args)
+                        (DeferKind::Func(fid.index()), args)
                     }
                     ExprKind::Builtin { kind, args, .. } => (DeferKind::Builtin(*kind), args),
                     _ => return Err(ExecError::Internal("defer of non-call".into())),
@@ -886,62 +427,10 @@ impl<'p> Vm<'p> {
             StmtKind::Continue => Ok(Flow::Continue),
             StmtKind::Free { target, .. } => {
                 let v = self.eval(target)?;
-                self.exec_tcfree(v)?;
+                self.mu.tcfree(v, batched);
                 Ok(Flow::Normal)
             }
         }
-    }
-
-    /// Executes a `tcfree` statement: dispatches to TcfreeSlice /
-    /// TcfreeMap / Tcfree on the runtime value (table 4).
-    fn exec_tcfree(&mut self, v: Value) -> Result<()> {
-        match v {
-            Value::Slice(s) => {
-                if let Some(obj) = s.obj {
-                    let (_, poison) = self.free_obj(obj, FreeSource::SliceLifetime);
-                    if poison {
-                        let mut cells = s.cells.borrow_mut();
-                        for c in cells.iter_mut() {
-                            *c = Value::Poison;
-                        }
-                    }
-                }
-            }
-            Value::Map(m) => {
-                let buckets = m.data.borrow().buckets_obj;
-                let mut poisoned = false;
-                if let Some(b) = buckets {
-                    let (out, poison) = self.free_obj(b, FreeSource::MapLifetime);
-                    poisoned |= poison;
-                    if matches!(out, FreeOutcome::Freed { .. }) {
-                        m.data.borrow_mut().buckets_obj = None;
-                    }
-                }
-                if let Some(h) = m.obj {
-                    let (_, poison) = self.free_obj(h, FreeSource::MapLifetime);
-                    poisoned |= poison;
-                }
-                if poisoned {
-                    let mut data = m.data.borrow_mut();
-                    data.poisoned = true;
-                    for (_, v) in data.entries.iter_mut() {
-                        *v = Value::Poison;
-                    }
-                }
-            }
-            Value::Ptr(p) => {
-                if let Some(obj) = p.obj {
-                    let (_, poison) = self.free_obj(obj, FreeSource::Object);
-                    if poison {
-                        *p.cell.borrow_mut() = Value::Poison;
-                    }
-                }
-            }
-            // tcfree ignores nil and non-reference values (§4.3: calls on
-            // stack objects are safe no-ops).
-            _ => {}
-        }
-        Ok(())
     }
 
     // ---- expressions ----
@@ -983,9 +472,9 @@ impl<'p> Vm<'p> {
             // here, after the arguments (the bytecode `Call` instruction's
             // `value_pos` extra).
             if want == 1 {
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
             }
-            self.rt.tick(2);
+            self.mu.rt.tick(2);
             let out = self.call_function(fid, argv)?;
             if want != usize::MAX && out.len() != want {
                 return Err(ExecError::Internal("result arity mismatch".into()));
@@ -1003,23 +492,23 @@ impl<'p> Vm<'p> {
     fn eval(&mut self, e: &Expr) -> Result<Value> {
         match &e.kind {
             ExprKind::IntLit(v) => {
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 Ok(Value::Int(*v))
             }
             ExprKind::BoolLit(b) => {
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 Ok(Value::Bool(*b))
             }
             ExprKind::StrLit(s) => {
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 Ok(Value::Str(Rc::from(s.as_str())))
             }
             ExprKind::Nil => {
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 Ok(Value::Nil)
             }
             ExprKind::Ident(_) => {
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 let var = self
                     .res
                     .def_of(e.id)
@@ -1029,23 +518,20 @@ impl<'p> Vm<'p> {
             ExprKind::Unary { op, operand } => match op {
                 UnOp::Neg => {
                     let v = self.eval_int(operand)?;
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     Ok(Value::Int(v.wrapping_neg()))
                 }
                 UnOp::Not => {
                     let v = self.eval_bool(operand)?;
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     Ok(Value::Bool(!v))
                 }
                 UnOp::Addr => self.addr_of(operand),
                 UnOp::Deref => {
                     let v = self.eval(operand)?;
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     match v {
-                        Value::Ptr(p) => {
-                            self.shadow_access(p.obj, "pointer deref read");
-                            check_poison(p.cell.borrow().clone())
-                        }
+                        Value::Ptr(p) => self.mu.ptr_get(&p),
                         Value::Nil => Err(ExecError::NilDeref),
                         _ => Err(ExecError::Internal("deref of non-pointer".into())),
                     }
@@ -1055,14 +541,14 @@ impl<'p> Vm<'p> {
                 // Short-circuit operators charge up front (the lowering
                 // emits their tick before the left operand).
                 BinOp::And => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     if !self.eval_bool(lhs)? {
                         return Ok(Value::Bool(false));
                     }
                     Ok(Value::Bool(self.eval_bool(rhs)?))
                 }
                 BinOp::Or => {
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     if self.eval_bool(lhs)? {
                         return Ok(Value::Bool(true));
                     }
@@ -1071,15 +557,15 @@ impl<'p> Vm<'p> {
                 _ => {
                     let l = self.eval(lhs)?;
                     let r = self.eval(rhs)?;
-                    self.rt.tick(1);
+                    self.mu.rt.tick(1);
                     self.binop(*op, l, r)
                 }
             },
             ExprKind::Field { base, name } => {
                 let bv = self.eval(base)?;
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 if let Value::Ptr(p) = &bv {
-                    self.shadow_access(p.obj, "field read");
+                    self.mu.shadow_access(p.obj, "field read");
                 }
                 let (sv, sname) = self.auto_deref_struct(bv, base)?;
                 let idx = self.field_index(&sname, name)?;
@@ -1090,28 +576,16 @@ impl<'p> Vm<'p> {
                 match bv {
                     Value::Slice(s) => {
                         let i = self.eval_int(index)?;
-                        self.rt.tick(1);
-                        if i < 0 || i as usize >= s.len {
-                            return Err(ExecError::OutOfBounds {
-                                index: i,
-                                len: s.len,
-                            });
-                        }
-                        self.shadow_access(s.obj, "slice index read");
-                        check_poison(s.cells.borrow()[s.offset + i as usize].clone())
+                        self.mu.rt.tick(1);
+                        self.mu.slice_get(&s, i)
                     }
                     Value::Map(m) => {
                         let kv = self.eval(index)?;
-                        self.rt.tick(1);
+                        self.mu.rt.tick(1);
                         let key = kv
                             .as_key()
                             .ok_or_else(|| ExecError::Internal("bad map key".into()))?;
-                        self.rt.tick(2);
-                        self.shadow_access_map(&m, "map lookup");
-                        let data = m.data.borrow();
-                        if data.poisoned {
-                            return Err(ExecError::PoisonedRead);
-                        }
+                        let data = self.mu.map_lookup(&m)?;
                         match data.get(&key) {
                             Some(v) => check_poison(v.clone()),
                             None => Ok(data.default.clone()),
@@ -1131,34 +605,8 @@ impl<'p> Vm<'p> {
                     Some(e) => Some(self.eval_int(e)?),
                     None => None,
                 };
-                self.rt.tick(1);
-                match bv {
-                    Value::Slice(s) => {
-                        let hi_v = hi_raw.unwrap_or(s.len as i64);
-                        // Go allows the high bound up to cap(s).
-                        if lo_v < 0 || hi_v < lo_v || hi_v as usize > s.cap() {
-                            return Err(ExecError::OutOfBounds {
-                                index: hi_v,
-                                len: s.cap(),
-                            });
-                        }
-                        Ok(Value::slice(SliceVal {
-                            cells: s.cells.clone(),
-                            obj: s.obj,
-                            offset: s.offset + lo_v as usize,
-                            len: (hi_v - lo_v) as usize,
-                            elem_size: s.elem_size,
-                        }))
-                    }
-                    Value::Nil => {
-                        if lo_v == 0 && hi_raw.unwrap_or(0) == 0 {
-                            Ok(Value::Nil)
-                        } else {
-                            Err(ExecError::NilDeref)
-                        }
-                    }
-                    _ => Err(ExecError::Internal("reslice of non-slice".into())),
-                }
+                self.mu.rt.tick(1);
+                reslice(bv, lo_v, hi_raw)
             }
             ExprKind::Call { .. } => {
                 let mut out = self.eval_multi(e, 1)?;
@@ -1174,7 +622,7 @@ impl<'p> Vm<'p> {
                 for f in fields {
                     values.push(self.eval(f)?);
                 }
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 let _ = name;
                 Ok(Value::struct_of(values))
             }
@@ -1184,46 +632,35 @@ impl<'p> Vm<'p> {
     fn addr_of(&mut self, operand: &Expr) -> Result<Value> {
         match &operand.kind {
             ExprKind::Ident(_) => {
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 let var = self
                     .res
                     .def_of(operand.id)
                     .ok_or_else(|| ExecError::Internal("unresolved ident".into()))?;
-                for frame in self.frames.iter().rev() {
-                    if let Some(slot) = frame.slots.get(&var) {
-                        return match slot {
-                            Slot::Boxed(cell, obj) => Ok(Value::ptr(PtrVal {
-                                cell: cell.clone(),
-                                obj: *obj,
-                            })),
-                            Slot::Plain(_) => Err(ExecError::Internal(format!(
-                                "address taken of unboxed variable {}",
-                                self.res.var(var).name
-                            ))),
-                        };
+                match self.frames.iter().rev().find_map(|f| f.slots.get(&var)) {
+                    Some(Slot::Boxed(cell, obj)) => Ok(Value::ptr(PtrVal {
+                        cell: cell.clone(),
+                        obj: *obj,
+                    })),
+                    Some(Slot::Plain(_)) => Err(ExecError::Internal(format!(
+                        "address taken of unboxed variable {}",
+                        self.res.var(var).name
+                    ))),
+                    Some(Slot::Empty) | None => {
+                        Err(ExecError::Internal("variable not found".into()))
                     }
                 }
-                Err(ExecError::Internal("variable not found".into()))
             }
             ExprKind::StructLit { .. } => {
                 let v = self.eval(operand)?;
-                self.rt.tick(1);
-                let place = self.place_of(operand);
-                let obj = if place == AllocPlace::Heap {
-                    let size = self
-                        .types
-                        .expr(operand.id)
-                        .map(|t| self.types.inline_size(t))
-                        .unwrap_or(8);
-                    Some(self.new_obj_at(size, Category::Other, Some(operand.id)))
-                } else {
-                    self.rt.stack_alloc(Category::Other);
-                    None
-                };
-                Ok(Value::ptr(PtrVal {
-                    cell: Rc::new(RefCell::new(v)),
-                    obj,
-                }))
+                self.mu.rt.tick(1);
+                let heap = self.place_of(operand) == AllocPlace::Heap;
+                let size = self
+                    .types
+                    .expr(operand.id)
+                    .map(|t| self.types.inline_size(t))
+                    .unwrap_or(8);
+                Ok(self.mu.new_ptr(heap, size, operand.id, v))
             }
             ExprKind::Unary {
                 op: UnOp::Deref,
@@ -1231,7 +668,7 @@ impl<'p> Vm<'p> {
             } => {
                 // `&*p` evaluates to `p`; the `&` node still ticks (the
                 // lowering emits its tick ahead of the inner expression).
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 self.eval(inner)
             }
             other => Err(ExecError::Unsupported(format!(
@@ -1258,61 +695,48 @@ impl<'p> Vm<'p> {
                         } else {
                             len
                         };
-                        self.rt.tick(1);
+                        self.mu.rt.tick(1);
                         let elem_size = self.types.inline_size(elem);
                         let zero = self.zero_value(elem);
-                        self.make_slice(e, len, cap, elem_size, zero)
+                        let heap = self.place_of(e) == AllocPlace::Heap;
+                        Ok(self.mu.make_slice(heap, e.id, len, cap, elem_size, zero))
                     }
                     Type::Map(_, v) => {
-                        self.rt.tick(1);
+                        self.mu.rt.tick(1);
                         let default = self.zero_value(v);
                         let entry_size = 16 + self.types.inline_size(v);
-                        self.make_map(e, default, entry_size)
+                        let heap = self.place_of(e) == AllocPlace::Heap;
+                        Ok(self.mu.make_map(heap, e.id, default, entry_size))
                     }
                     _ => Err(ExecError::Internal("make of bad type".into())),
                 }
             }
             Builtin::New => {
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 let ty = &ty_args[0];
                 let zero = self.zero_value(ty);
-                let place = self.place_of(e);
-                let obj = if place == AllocPlace::Heap {
-                    let size = self.types.inline_size(ty);
-                    Some(self.new_obj_at(size, Category::Other, Some(e.id)))
-                } else {
-                    self.rt.stack_alloc(Category::Other);
-                    None
-                };
-                Ok(Value::ptr(PtrVal {
-                    cell: Rc::new(RefCell::new(zero)),
-                    obj,
-                }))
+                let heap = self.place_of(e) == AllocPlace::Heap;
+                let size = self.types.inline_size(ty);
+                Ok(self.mu.new_ptr(heap, size, e.id, zero))
             }
             Builtin::Append => {
                 let sv = self.eval(&args[0])?;
                 let item = self.eval(&args[1])?;
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 let elem_size = match self.types.expr(args[0].id) {
                     Some(Type::Slice(elem)) => self.types.inline_size(elem),
                     _ => 8,
                 };
-                self.append(sv, item, elem_size, e.id)
+                self.mu.append(sv, item, elem_size, e.id)
             }
             Builtin::Len => {
                 let v = self.eval(&args[0])?;
-                self.rt.tick(1);
-                match v {
-                    Value::Slice(s) => Ok(Value::Int(s.len as i64)),
-                    Value::Map(m) => Ok(Value::Int(m.data.borrow().len() as i64)),
-                    Value::Str(s) => Ok(Value::Int(s.len() as i64)),
-                    Value::Nil => Ok(Value::Int(0)),
-                    _ => Err(ExecError::Internal("len of bad value".into())),
-                }
+                self.mu.rt.tick(1);
+                len_of(v)
             }
             Builtin::Cap => {
                 let v = self.eval(&args[0])?;
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 match v {
                     Value::Slice(s) => Ok(Value::Int(s.cap() as i64)),
                     Value::Nil => Ok(Value::Int(0)),
@@ -1322,20 +746,18 @@ impl<'p> Vm<'p> {
             Builtin::Delete => {
                 let mv = self.eval(&args[0])?;
                 let kv = self.eval(&args[1])?;
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 if let Value::Map(m) = mv {
                     let key = kv
                         .as_key()
                         .ok_or_else(|| ExecError::Internal("bad map key".into()))?;
-                    self.rt.tick(2);
-                    self.shadow_access_map(&m, "map delete");
-                    m.data.borrow_mut().remove(&key);
+                    self.mu.map_delete(&m, &key);
                 }
                 Ok(Value::Int(0))
             }
             Builtin::Panic => {
                 let v = self.eval(&args[0])?;
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 Err(ExecError::Panic(v.display()))
             }
             Builtin::Print => {
@@ -1343,180 +765,20 @@ impl<'p> Vm<'p> {
                     .iter()
                     .map(|a| self.eval(a))
                     .collect::<Result<Vec<_>>>()?;
-                self.rt.tick(1);
-                self.do_print(&values);
+                self.mu.rt.tick(1);
+                self.mu.print(&values);
                 Ok(Value::Int(0))
             }
             Builtin::Itoa => {
                 let v = self.eval_int(&args[0])?;
-                self.rt.tick(1);
+                self.mu.rt.tick(1);
                 Ok(Value::Str(Rc::from(v.to_string().as_str())))
             }
         }
     }
 
-    fn do_print(&mut self, values: &[Value]) {
-        let line: Vec<String> = values.iter().map(Value::display).collect();
-        self.output.push_str(&line.join(" "));
-        self.output.push('\n');
-    }
-
-    fn make_slice(
-        &mut self,
-        site: &Expr,
-        len: usize,
-        cap: usize,
-        elem_size: u64,
-        zero: Value,
-    ) -> Result<Value> {
-        let cap = cap.max(1);
-        let place = self.place_of(site);
-        let obj = if place == AllocPlace::Heap {
-            Some(self.new_obj_at(
-                (cap as u64 * elem_size).max(8),
-                Category::Slice,
-                Some(site.id),
-            ))
-        } else {
-            self.rt.stack_alloc(Category::Slice);
-            None
-        };
-        Ok(Value::slice(SliceVal {
-            cells: Rc::new(RefCell::new(filled(zero, cap))),
-            obj,
-            offset: 0,
-            len,
-            elem_size,
-        }))
-    }
-
-    fn make_map(&mut self, site: &Expr, default: Value, entry_size: u64) -> Result<Value> {
-        let place = self.place_of(site);
-        let obj = if place == AllocPlace::Heap {
-            Some(self.new_obj_at(minigo_escape::MAP_BASE_BYTES, Category::Map, Some(site.id)))
-        } else {
-            self.rt.stack_alloc(Category::Map);
-            None
-        };
-        Ok(Value::map(MapVal {
-            data: Rc::new(RefCell::new(MapData {
-                entries: Vec::new(),
-                index: crate::fxhash::FxHashMap::default(),
-                buckets_obj: None,
-                bucket_cap: 8,
-                default,
-                entry_size,
-                origin: Some(site.id),
-                poisoned: false,
-            })),
-            obj,
-        }))
-    }
-
-    fn append(
-        &mut self,
-        sv: Value,
-        item: Value,
-        elem_size: u64,
-        site: minigo_syntax::ExprId,
-    ) -> Result<Value> {
-        self.rt.tick(2);
-        match sv {
-            Value::Nil => {
-                // Appending to a nil slice allocates a fresh heap array
-                // (runtime-managed, §4.6.1).
-                let cap = 8;
-                let obj = self.new_obj_at(cap as u64 * elem_size, Category::Slice, Some(site));
-                let mut cells = vec![item];
-                cells.resize_with(cap, || Value::Int(0));
-                Ok(Value::slice(SliceVal {
-                    cells: Rc::new(RefCell::new(cells)),
-                    obj: Some(obj),
-                    offset: 0,
-                    len: 1,
-                    elem_size,
-                }))
-            }
-            Value::Slice(mut s) => {
-                self.shadow_access(s.obj, "append");
-                if s.len < s.cap() {
-                    let at = s.offset + s.len;
-                    s.cells.borrow_mut()[at] = item;
-                    Rc::make_mut(&mut s).len += 1;
-                    Ok(Value::Slice(s))
-                } else {
-                    // Grow: a fresh heap array; the old one is left to GC
-                    // (other slices may still reference it).
-                    let new_cap = (s.cap() * 2).max(8);
-                    let obj =
-                        self.new_obj_at(new_cap as u64 * elem_size, Category::Slice, Some(site));
-                    let mut cells: Vec<Value> =
-                        s.cells.borrow()[s.offset..s.offset + s.len].to_vec();
-                    cells.push(item);
-                    cells.resize_with(new_cap, || Value::Int(0));
-                    Ok(Value::slice(SliceVal {
-                        cells: Rc::new(RefCell::new(cells)),
-                        obj: Some(obj),
-                        offset: 0,
-                        len: s.len + 1,
-                        elem_size,
-                    }))
-                }
-            }
-            _ => Err(ExecError::Internal("append to non-slice".into())),
-        }
-    }
-
-    fn map_insert(&mut self, m: &MapVal, key: Key, value: Value) -> Result<()> {
-        self.rt.tick(3);
-        self.shadow_access_map(m, "map insert");
-        barrier_store_map(&mut self.rt, &self.objects, m);
-        let (is_new, needs_growth) = {
-            let data = m.data.borrow();
-            if data.poisoned {
-                return Err(ExecError::PoisonedRead);
-            }
-            let is_new = data.get(&key).is_none();
-            (is_new, is_new && data.len() + 1 > data.bucket_cap)
-        };
-        if needs_growth {
-            // §4.6.2: the map grows; the old bucket array is exclusively
-            // owned and (under GoFree) explicitly freed.
-            let (old, new_cap, entry_size, origin) = {
-                let mut data = m.data.borrow_mut();
-                let new_cap = data.bucket_cap * 2;
-                data.bucket_cap = new_cap;
-                (
-                    data.buckets_obj.take(),
-                    new_cap,
-                    data.entry_size,
-                    data.origin,
-                )
-            };
-            let new_obj = self.new_obj_at(new_cap as u64 * entry_size, Category::Map, origin);
-            m.data.borrow_mut().buckets_obj = Some(new_obj);
-            if let Some(old) = old {
-                if self.cfg.grow_map_free_old {
-                    let (_, poison) = self.free_obj(old, FreeSource::MapGrowOld);
-                    if poison {
-                        // Poisoning old buckets corrupts nothing the map
-                        // still uses: entries were evacuated. Nothing to do.
-                    }
-                } else {
-                    // Plain Go: the old buckets become garbage for GC; we
-                    // simply drop the strong reference.
-                    // (The object stays in `objects` until swept.)
-                    let _ = old;
-                }
-            }
-        }
-        let _ = is_new;
-        m.data.borrow_mut().insert(key, value);
-        Ok(())
-    }
-
     fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value> {
-        binop_rt(&mut self.rt, op, l, r)
+        binop_rt(&mut self.mu.rt, op, l, r)
     }
 
     // ---- lvalue stores ----
@@ -1535,9 +797,7 @@ impl<'p> Vm<'p> {
                 operand,
             } => match self.eval(operand)? {
                 Value::Ptr(p) => {
-                    self.shadow_access(p.obj, "pointer deref write");
-                    barrier_store(&mut self.rt, &self.objects, p.obj);
-                    *p.cell.borrow_mut() = value;
+                    self.mu.ptr_set(&p, value);
                     Ok(())
                 }
                 Value::Nil => Err(ExecError::NilDeref),
@@ -1548,8 +808,7 @@ impl<'p> Vm<'p> {
                 match bv {
                     Value::Ptr(p) => {
                         // Through-pointer store: mutate in place.
-                        self.shadow_access(p.obj, "field write");
-                        barrier_store(&mut self.rt, &self.objects, p.obj);
+                        self.mu.before_store(p.obj, "field write");
                         let sname = self.struct_name_of(base, true)?;
                         let idx = self.field_index(&sname, name)?;
                         let mut target = p.cell.borrow_mut();
@@ -1579,23 +838,15 @@ impl<'p> Vm<'p> {
                 match bv {
                     Value::Slice(s) => {
                         let i = self.eval_int(index)?;
-                        if i < 0 || i as usize >= s.len {
-                            return Err(ExecError::OutOfBounds {
-                                index: i,
-                                len: s.len,
-                            });
-                        }
-                        self.shadow_access(s.obj, "slice index write");
-                        barrier_store(&mut self.rt, &self.objects, s.obj);
-                        s.cells.borrow_mut()[s.offset + i as usize] = value;
-                        Ok(())
+                        self.mu.slice_set(&s, i, value)
                     }
                     Value::Map(m) => {
                         let kv = self.eval(index)?;
                         let key = kv
                             .as_key()
                             .ok_or_else(|| ExecError::Internal("bad map key".into()))?;
-                        self.map_insert(&m, key, value)
+                        self.mu.before_map_insert(&m);
+                        self.mu.map_insert(&m, key, value)
                     }
                     Value::Nil => Err(ExecError::NilDeref),
                     _ => Err(ExecError::Internal("store into non-indexable".into())),
@@ -1666,14 +917,6 @@ impl<'p> Vm<'p> {
     }
 }
 
-fn make_slot(value: Value, boxed: bool) -> Slot {
-    if boxed {
-        Slot::Boxed(Rc::new(RefCell::new(value)), None)
-    } else {
-        Slot::Plain(value)
-    }
-}
-
 /// The integer semantics of a binary operator: the one definition both
 /// engines (and the bytecode engine's scalar fast paths) use. `None`
 /// where an int pair has no plain result — `Div`/`Rem` by zero and the
@@ -1733,41 +976,52 @@ pub(crate) fn binop_rt(rt: &mut Runtime, op: BinOp, l: Value, r: Value) -> Resul
     }
 }
 
-/// Write-barrier hook at the same heap store sites the shadow sanitizer
-/// checks, shared by both engines: tells the collector the object's
-/// payload was mutated (the generational remembered set's input). Stack
-/// values (`obj` = `None`) need no barrier. Unlike the shadow hooks this
-/// always fires when the collector has a barrier — barriers are part of
-/// the simulation, not an observer — and costs one flag test when it
-/// has none (the default mark-sweep backend), skipping the
-/// object-table lookup.
-#[inline]
-pub(crate) fn barrier_store<S: std::hash::BuildHasher>(
-    rt: &mut Runtime,
-    objects: &HashMap<ObjId, ObjAddr, S>,
-    obj: Option<ObjId>,
-) {
-    if !rt.has_write_barrier() {
-        return;
-    }
-    if let Some(&addr) = obj.and_then(|o| objects.get(&o)) {
-        rt.record_store(addr);
-    }
+/// `len(v)`, shared by both engines and the bytecode engine's fused
+/// length handlers and their fast paths; `None` for a value without a length.
+#[inline(always)]
+pub(crate) fn len_ref(v: &Value) -> Option<i64> {
+    Some(match v {
+        Value::Slice(s) => s.len as i64,
+        Value::Map(map) => map.data.borrow().len() as i64,
+        Value::Str(s) => s.len() as i64,
+        Value::Nil => 0,
+        _ => return None,
+    })
 }
 
-/// [`barrier_store`] for a map store: both the hmap header and the
-/// current bucket array count as mutated.
-pub(crate) fn barrier_store_map<S: std::hash::BuildHasher>(
-    rt: &mut Runtime,
-    objects: &HashMap<ObjId, ObjAddr, S>,
-    m: &MapVal,
-) {
-    if !rt.has_write_barrier() {
-        return;
+/// [`len_ref`] on an owned operand, raising the generic path's error.
+#[inline]
+pub(crate) fn len_of(v: Value) -> Result<Value> {
+    len_ref(&v)
+        .map(Value::Int)
+        .ok_or_else(|| ExecError::Internal("len of bad value".into()))
+}
+
+/// `base[lo:hi]`, with `hi` defaulting to `len(base)`; shared by both
+/// engines.
+pub(crate) fn reslice(base: Value, lo: i64, hi: Option<i64>) -> Result<Value> {
+    match base {
+        Value::Slice(s) => {
+            let hi = hi.unwrap_or(s.len as i64);
+            // Go allows the high bound up to cap(s).
+            if lo < 0 || hi < lo || hi as usize > s.cap() {
+                return Err(ExecError::OutOfBounds {
+                    index: hi,
+                    len: s.cap(),
+                });
+            }
+            Ok(Value::slice(SliceVal {
+                cells: s.cells.clone(),
+                obj: s.obj,
+                offset: s.offset + lo as usize,
+                len: (hi - lo) as usize,
+                elem_size: s.elem_size,
+            }))
+        }
+        Value::Nil if lo == 0 && hi.unwrap_or(0) == 0 => Ok(Value::Nil),
+        Value::Nil => Err(ExecError::NilDeref),
+        _ => Err(ExecError::Internal("reslice of non-slice".into())),
     }
-    let buckets = m.data.borrow().buckets_obj;
-    barrier_store(rt, objects, m.obj);
-    barrier_store(rt, objects, buckets);
 }
 
 #[inline]
@@ -1808,68 +1062,6 @@ pub(crate) fn value_eq(a: &Value, b: &Value) -> Result<bool> {
         }
         _ => false,
     })
-}
-
-/// Marks every heap object reachable from `v`. Generic over the table
-/// hashers so both engines can pass their own (the bytecode engine's
-/// tables use [`crate::fxhash::FxHasher`]).
-pub(crate) fn mark_value<S, S2>(
-    v: &Value,
-    objects: &HashMap<ObjId, ObjAddr, S>,
-    marked: &mut HashSet<ObjAddr>,
-    seen: &mut HashSet<usize, S2>,
-) where
-    S: std::hash::BuildHasher,
-    S2: std::hash::BuildHasher,
-{
-    match v {
-        Value::Struct(fields) => {
-            for f in fields.iter() {
-                mark_value(f, objects, marked, seen);
-            }
-        }
-        Value::Ptr(p) => {
-            if let Some(obj) = p.obj {
-                if let Some(&addr) = objects.get(&obj) {
-                    marked.insert(addr);
-                }
-            }
-            if seen.insert(Rc::as_ptr(&p.cell) as usize) {
-                mark_value(&p.cell.borrow(), objects, marked, seen);
-            }
-        }
-        Value::Slice(s) => {
-            if let Some(obj) = s.obj {
-                if let Some(&addr) = objects.get(&obj) {
-                    marked.insert(addr);
-                }
-            }
-            if seen.insert(Rc::as_ptr(&s.cells) as usize) {
-                for c in s.cells.borrow().iter() {
-                    mark_value(c, objects, marked, seen);
-                }
-            }
-        }
-        Value::Map(m) => {
-            if let Some(obj) = m.obj {
-                if let Some(&addr) = objects.get(&obj) {
-                    marked.insert(addr);
-                }
-            }
-            if seen.insert(Rc::as_ptr(&m.data) as usize) {
-                let data = m.data.borrow();
-                if let Some(obj) = data.buckets_obj {
-                    if let Some(&addr) = objects.get(&obj) {
-                        marked.insert(addr);
-                    }
-                }
-                for (_, v) in &data.entries {
-                    mark_value(v, objects, marked, seen);
-                }
-            }
-        }
-        _ => {}
-    }
 }
 
 pub(crate) fn collect_addr_taken_block(block: &Block, res: &Resolution, out: &mut HashSet<VarId>) {
@@ -1979,15 +1171,11 @@ fn collect_addr_taken_expr(e: &Expr, res: &Resolution, out: &mut HashSet<VarId>)
     }
 }
 
-// The `Func` import is used in signatures via Program lookups.
-#[allow(unused)]
-fn _assert_types(_: &Func) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use minigo_escape::{analyze, instrument, AnalyzeOptions};
-    use minigo_runtime::PoisonMode;
+    use minigo_runtime::{Category, FreeSource, PoisonMode, RuntimeConfig};
     use minigo_syntax::frontend;
 
     fn run_src_with(src: &str, opts: AnalyzeOptions, cfg: VmConfig) -> Result<RunOutcome> {

@@ -28,9 +28,13 @@ pub mod bytecode;
 pub mod error;
 pub mod fxhash;
 pub mod interp;
+mod mutator;
+mod session;
 pub mod value;
 
-pub use bytecode::{lower, optimize, run_module, BSession, Const, Module, OptStats};
+pub use bytecode::{lower, optimize, run_module, Const, Module, OptStats};
 pub use error::ExecError;
-pub use interp::{run, RunOutcome, Session, SiteProfile, VmConfig};
+pub use interp::run;
+pub use mutator::{RunOutcome, SiteProfile, VmConfig};
+pub use session::{BSession, Session};
 pub use value::{Key, MapData, MapVal, ObjId, PtrVal, SliceVal, Value};

@@ -291,7 +291,7 @@ fn run_to_error(label: &str, src: &str) -> (Vec<(String, String)>, String) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("{label}: main returned without the expected error"),
     };
-    let mut tree = Session::new(
+    let mut tree = Session::tree_walk(
         &c.program,
         &c.resolution,
         &c.types,
@@ -399,6 +399,113 @@ fn engines_agree_on_errors_in_fused_forms() {
                 out, tree_out,
                 "`{stmt}` ({stream}): output before the error"
             );
+        }
+    }
+}
+
+#[test]
+fn engines_agree_with_batched_frees() {
+    // `VmConfig::batch_frees` (§5, "Possibility of Batching") lets the
+    // second and later `tcfree`s of an adjacent run share one call
+    // overhead. The tree-walk batches adjacent `tcfree` statements, the
+    // bytecode engine `Tcfree` instructions marked `follows_free`; both
+    // must charge the same frees the same way. No `RunConfig` field
+    // reaches this option, so the engines are driven directly.
+    let cfg = |batch_frees| VmConfig {
+        runtime: minigo_runtime::RuntimeConfig {
+            seed: 7,
+            migrate_prob: 0.0,
+            jitter: 0.0,
+            ..minigo_runtime::RuntimeConfig::default()
+        },
+        batch_frees,
+        ..VmConfig::default()
+    };
+    let mut workloads = gofree_workloads::all(Scale::Test);
+    workloads.push(gofree_workloads::programs::lowfree(Scale::Test));
+    let mut batching_moved_time = false;
+    for w in &workloads {
+        let c = compile(&w.source, &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {}", w.name, e.render(&w.source)));
+        let tree_run = |cfg| {
+            minigo_vm::run(&c.program, &c.resolution, &c.types, &c.analysis, cfg)
+                .unwrap_or_else(|e| panic!("{} (tree-walk): {e}", w.name))
+        };
+        let tree = tree_run(cfg(true));
+        for (module, opt) in [(&c.lowered, "off"), (&c.optimized, "full")] {
+            let byte = minigo_vm::run_module(module, cfg(true))
+                .unwrap_or_else(|e| panic!("{} (opt {opt}): {e}", w.name));
+            let label = format!("{} (batched, opt {opt})", w.name);
+            assert_eq!(tree.output, byte.output, "{label}: output");
+            assert_eq!(tree.time, byte.time, "{label}: time");
+            assert_eq!(tree.steps, byte.steps, "{label}: steps");
+            assert_eq!(
+                format!("{:?}", tree.metrics),
+                format!("{:?}", byte.metrics),
+                "{label}: metrics"
+            );
+            assert_eq!(
+                tree.site_profile, byte.site_profile,
+                "{label}: site profile"
+            );
+        }
+        batching_moved_time |= tree_run(cfg(false)).time != tree.time;
+    }
+    assert!(
+        batching_moved_time,
+        "batching changed no workload's virtual time: the batched path never ran"
+    );
+}
+
+#[test]
+fn session_calls_check_arity_on_every_engine() {
+    // `Session::call` checks the argument count before any engine runs
+    // the call: too few, too many, and arguments to a zero-parameter
+    // function all fail with the same typed error on the tree-walk and
+    // at both opt levels, and nothing runs (no output, no ticks).
+    let src = "func add(a int, b int) int {\n    print(\"add\")\n    return a + b\n}\n\n\
+               func zero() int {\n    print(\"zero\")\n    return 1\n}\n\nfunc main() {\n}\n";
+    let c =
+        compile(src, &CompileOptions::default()).unwrap_or_else(|e| panic!("{}", e.render(src)));
+    let cases: [(&str, usize, &str); 3] = [
+        ("add", 1, "func add() takes 2 arguments, called with 1"),
+        ("add", 3, "func add() takes 2 arguments, called with 3"),
+        ("zero", 1, "func zero() takes 0 arguments, called with 1"),
+    ];
+    for (name, nargs, want) in cases {
+        let args = vec![minigo_vm::Value::Int(1); nargs];
+        let sessions = [
+            (
+                "tree-walk",
+                Session::tree_walk(
+                    &c.program,
+                    &c.resolution,
+                    &c.types,
+                    &c.analysis,
+                    VmConfig::default(),
+                ),
+            ),
+            ("opt off", BSession::new(&c.lowered, VmConfig::default())),
+            ("opt full", BSession::new(&c.optimized, VmConfig::default())),
+        ];
+        for (engine, session) in sessions {
+            let mut session = session.expect("valid config");
+            let err = session
+                .call(name, args.clone())
+                .expect_err("wrong arity must fail");
+            assert_eq!(
+                err,
+                minigo_vm::ExecError::Arity {
+                    func: name.to_string(),
+                    params: if name == "add" { 2 } else { 0 },
+                    args: nargs,
+                },
+                "{name} with {nargs} args ({engine})"
+            );
+            assert_eq!(err.to_string(), want, "{name} ({engine})");
+            let out = session.finish();
+            assert_eq!(out.output, "", "{name} ({engine}): nothing ran");
+            assert_eq!(out.time, 0, "{name} ({engine}): nothing was charged");
         }
     }
 }
